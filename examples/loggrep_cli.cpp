@@ -92,7 +92,7 @@ using namespace loggrep;
 MetricsRegistry g_metrics;
 bool g_stats_json = false;
 // --no-degrade: strict complete-or-error queries. Locally this sets
-// ArchiveOptions::degraded_queries = false; against a daemon it sends
+// QueryOptions::degrade = false; against a daemon it sends
 // ?degrade=0 — the same contract either way (a block failure or standing
 // quarantined hole is exit 1 / HTTP 500 instead of exit 3 / HTTP 206).
 bool g_no_degrade = false;
@@ -120,7 +120,12 @@ ArchiveOptions CliArchiveOptions() {
   ArchiveOptions opts;
   opts.metrics = &g_metrics;
   opts.engine.metrics = &g_metrics;
-  opts.degraded_queries = !g_no_degrade;
+  return opts;
+}
+
+QueryOptions CliQueryOptions() {
+  QueryOptions opts;
+  opts.degrade = !g_no_degrade;
   return opts;
 }
 
@@ -360,7 +365,7 @@ int ArchiveGrep(const std::string& dir, const std::string& command) {
     std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
     return 1;
   }
-  auto result = archive->Query(command);
+  auto result = archive->Query(command, CliQueryOptions());
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -400,7 +405,7 @@ int Metrics(const std::string& target, const std::string& command) {
       std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
       return 1;
     }
-    auto result = archive->Query(command);
+    auto result = archive->Query(command, CliQueryOptions());
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    result.status().ToString().c_str());
@@ -439,7 +444,7 @@ int Explain(const std::string& target, const std::string& command) {
       std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
       return 1;
     }
-    auto result = archive->Explain(command, &qe);
+    auto result = archive->Explain(command, &qe, CliQueryOptions());
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    result.status().ToString().c_str());
@@ -556,7 +561,7 @@ int SetQuery(const std::string& root, const std::string& command,
   }
   pred.from_ns = from_ns;
   pred.to_ns = to_ns;
-  auto result = (*set)->Query(command, pred);
+  auto result = (*set)->Query(command, pred, CliQueryOptions());
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status().ToString().c_str());

@@ -1,13 +1,6 @@
 #include "src/codec/range_coder.h"
 
 namespace loggrep {
-namespace {
-
-constexpr uint32_t kTopValue = 1u << 24;
-constexpr int kProbBits = 11;
-constexpr int kMoveBits = 5;
-
-}  // namespace
 
 void RangeEncoder::ShiftLow() {
   if (low_ < 0xFF000000ull || low_ > 0xFFFFFFFFull) {
@@ -58,56 +51,13 @@ std::string RangeEncoder::Finish() {
   return std::move(out_);
 }
 
-RangeDecoder::RangeDecoder(std::string_view in) : in_(in) {
+RangeDecoder::RangeDecoder(std::string_view in)
+    : next_(reinterpret_cast<const uint8_t*>(in.data())),
+      end_(reinterpret_cast<const uint8_t*>(in.data()) + in.size()) {
   NextByte();  // the encoder's initial zero cache byte
   for (int i = 0; i < 4; ++i) {
     code_ = (code_ << 8) | NextByte();
   }
-}
-
-uint8_t RangeDecoder::NextByte() {
-  if (pos_ >= in_.size()) {
-    overran_ = true;
-    return 0;
-  }
-  return static_cast<uint8_t>(in_[pos_++]);
-}
-
-void RangeDecoder::Normalize() {
-  while (range_ < kTopValue) {
-    range_ <<= 8;
-    code_ = (code_ << 8) | NextByte();
-  }
-}
-
-int RangeDecoder::DecodeBit(BitProb& prob) {
-  const uint32_t bound = (range_ >> kProbBits) * prob;
-  int bit;
-  if (code_ < bound) {
-    range_ = bound;
-    prob += static_cast<BitProb>(((1u << kProbBits) - prob) >> kMoveBits);
-    bit = 0;
-  } else {
-    code_ -= bound;
-    range_ -= bound;
-    prob -= static_cast<BitProb>(prob >> kMoveBits);
-    bit = 1;
-  }
-  Normalize();
-  return bit;
-}
-
-uint32_t RangeDecoder::DecodeDirectBits(int nbits) {
-  uint32_t result = 0;
-  for (int i = 0; i < nbits; ++i) {
-    range_ >>= 1;
-    code_ -= range_;
-    const uint32_t t = 0u - (code_ >> 31);  // all-ones when code_ underflowed
-    code_ += range_ & t;
-    result = (result << 1) + (t + 1);
-    Normalize();
-  }
-  return result;
 }
 
 void EncodeBitTree(RangeEncoder& rc, BitProb* probs, int nbits, uint32_t symbol) {
@@ -117,14 +67,6 @@ void EncodeBitTree(RangeEncoder& rc, BitProb* probs, int nbits, uint32_t symbol)
     rc.EncodeBit(probs[m], bit);
     m = (m << 1) | static_cast<uint32_t>(bit);
   }
-}
-
-uint32_t DecodeBitTree(RangeDecoder& rc, BitProb* probs, int nbits) {
-  uint32_t m = 1;
-  for (int i = 0; i < nbits; ++i) {
-    m = (m << 1) | static_cast<uint32_t>(rc.DecodeBit(probs[m]));
-  }
-  return m - (1u << nbits);
 }
 
 }  // namespace loggrep

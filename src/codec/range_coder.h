@@ -15,6 +15,9 @@ namespace loggrep {
 
 using BitProb = uint16_t;
 inline constexpr BitProb kProbInit = 1024;  // p(bit=0) = 0.5 in 11-bit scale
+inline constexpr int kProbBits = 11;
+inline constexpr int kMoveBits = 5;  // adaptation rate: 1/32 per coded bit
+inline constexpr uint32_t kTopValue = 1u << 24;  // renormalization threshold
 
 class RangeEncoder {
  public:
@@ -37,27 +40,76 @@ class RangeDecoder {
  public:
   explicit RangeDecoder(std::string_view in);
 
-  int DecodeBit(BitProb& prob);
-  uint32_t DecodeDirectBits(int nbits);
+  // Hot path of every range-coded decode: inline, one predictable
+  // normalization branch per bit.
+  int DecodeBit(BitProb& prob) {
+    const uint32_t bound = (range_ >> kProbBits) * prob;
+    int bit;
+    if (code_ < bound) {
+      range_ = bound;
+      prob += static_cast<BitProb>(((1u << kProbBits) - prob) >> kMoveBits);
+      bit = 0;
+    } else {
+      code_ -= bound;
+      range_ -= bound;
+      prob -= static_cast<BitProb>(prob >> kMoveBits);
+      bit = 1;
+    }
+    Normalize();
+    return bit;
+  }
+
+  uint32_t DecodeDirectBits(int nbits) {
+    uint32_t result = 0;
+    for (int i = 0; i < nbits; ++i) {
+      range_ >>= 1;
+      code_ -= range_;
+      const uint32_t t = 0u - (code_ >> 31);  // all-ones when code_ underflowed
+      code_ += range_ & t;
+      result = (result << 1) + (t + 1);
+      Normalize();
+    }
+    return result;
+  }
 
   // True when the decoder has consumed bytes past the input (corrupt data).
   bool Overran() const { return overran_; }
 
  private:
-  uint8_t NextByte();
-  void Normalize();
+  uint8_t NextByte() {
+    if (next_ != end_) {
+      return *next_++;
+    }
+    overran_ = true;
+    return 0;
+  }
 
-  std::string_view in_;
-  size_t pos_ = 0;
+  void Normalize() {
+    while (range_ < kTopValue) {
+      range_ <<= 8;
+      code_ = (code_ << 8) | NextByte();
+    }
+  }
+
+  const uint8_t* next_;
+  const uint8_t* end_;
   uint32_t range_ = 0xFFFFFFFFu;
   uint32_t code_ = 0;
   bool overran_ = false;
 };
 
-// Bit-tree coding of `nbits`-wide symbols; `probs` must hold 1 << nbits
-// entries initialized to kProbInit.
+// Bit-tree coding of `nbits`-wide symbols, MSB first; `probs` must hold
+// 1 << nbits entries initialized to kProbInit. The decoder takes the width
+// as a compile-time constant so its loop fully unrolls.
 void EncodeBitTree(RangeEncoder& rc, BitProb* probs, int nbits, uint32_t symbol);
-uint32_t DecodeBitTree(RangeDecoder& rc, BitProb* probs, int nbits);
+template <int kBits>
+inline uint32_t DecodeBitTree(RangeDecoder& rc, BitProb* probs) {
+  uint32_t m = 1;
+  for (int i = 0; i < kBits; ++i) {
+    m = (m << 1) | static_cast<uint32_t>(rc.DecodeBit(probs[m]));
+  }
+  return m - (1u << kBits);
+}
 
 }  // namespace loggrep
 

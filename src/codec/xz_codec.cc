@@ -7,6 +7,7 @@
 //
 // Payload: [u8 mode: 0 = stored, 1 = range-coded][data].
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/codec/codec.h"
@@ -30,31 +31,35 @@ struct Models {
   BitProb is_match[2];
   BitProb is_rep[2];
   BitProb rep_index[1 << 2];  // bit-tree over the 4 history slots
-  BitProb literal[kLiteralContexts][1 << 8];
   BitProb len_tree[2][1 << kLenTreeBits];   // ctx: after rep / after new dist
   BitProb dist_tree[2][1 << kDistTreeBits];  // ctx: short vs long match
   BitProb align[1 << 4];  // low 4 distance bits (padded columns align often)
 
   Models() {
-    auto fill = [](BitProb* p, size_t n) {
-      for (size_t i = 0; i < n; ++i) {
-        p[i] = kProbInit;
-      }
-    };
-    fill(is_match, 2);
-    fill(is_rep, 2);
-    fill(rep_index, 1 << 2);
-    for (auto& ctx : literal) {
-      fill(ctx, 1 << 8);
-    }
-    for (auto& ctx : len_tree) {
-      fill(ctx, 1 << kLenTreeBits);
-    }
-    for (auto& ctx : dist_tree) {
-      fill(ctx, 1 << kDistTreeBits);
-    }
-    fill(align, 1 << 4);
+    std::fill_n(is_match, 2, kProbInit);
+    std::fill_n(is_rep, 2, kProbInit);
+    std::fill_n(rep_index, 1 << 2, kProbInit);
+    std::fill_n(&len_tree[0][0], 2 << kLenTreeBits, kProbInit);
+    std::fill_n(&dist_tree[0][0], 2 << kDistTreeBits, kProbInit);
+    std::fill_n(align, 1 << 4, kProbInit);
   }
+
+  // The literal model of context `ctx` (the previous byte), initialized on
+  // first use: a small capsule touches a few dozen of the 256 contexts, and
+  // filling all 128 KiB up front dominated its decode time. A context's
+  // first use sees exactly the probabilities an eager fill would give it.
+  BitProb* Literal(int ctx) {
+    BitProb* probs = literal_[ctx];
+    if (!literal_ready_[ctx]) {
+      std::fill_n(probs, 1 << 8, kProbInit);
+      literal_ready_[ctx] = true;
+    }
+    return probs;
+  }
+
+ private:
+  BitProb literal_[kLiteralContexts][1 << 8];  // filled lazily by Literal()
+  bool literal_ready_[kLiteralContexts] = {};
 };
 
 // Recent-distance history with move-to-front semantics.
@@ -86,10 +91,6 @@ struct RepHistory {
     reps[0] = dist;
   }
 };
-
-int LiteralContext(const std::string& out) {
-  return out.empty() ? 0 : static_cast<uint8_t>(out.back());
-}
 
 int LiteralContextEnc(std::string_view raw, size_t pos) {
   return pos == 0 ? 0 : static_cast<uint8_t>(raw[pos - 1]);
@@ -172,7 +173,7 @@ class XzLikeCodec : public Codec {
           matcher.Insert(pos);
         }
         rc.EncodeBit(models.is_match[prev_match], 0);
-        EncodeBitTree(rc, models.literal[LiteralContextEnc(raw, pos)], 8,
+        EncodeBitTree(rc, models.Literal(LiteralContextEnc(raw, pos)), 8,
                       static_cast<uint8_t>(raw[pos]));
         ++pos;
         prev_match = 0;
@@ -205,29 +206,42 @@ class XzLikeCodec : public Codec {
     if (mode != kModeRangeCoded) {
       return CorruptData("xz-like: unknown payload mode");
     }
-    std::string out;
-    out.reserve(std::min(raw_size, kDecompressReserveBytes));
     if (raw_size == 0) {
-      return out;
+      return std::string();
     }
+    // Decoded bytes live in out[0, n), written through a raw pointer. The
+    // buffer grows geometrically but never runs more than
+    // kDecompressReserveBytes ahead of the bytes actually decoded, so a
+    // lying raw_size cannot allocate ahead of real progress.
+    std::string out(std::min(raw_size, kDecompressReserveBytes), '\0');
+    char* buf = out.data();
+    size_t n = 0;
+    auto make_room = [&](size_t len) {
+      if (n + len > out.size()) {
+        const size_t grown = std::min(out.size() * 2, n + kDecompressReserveBytes);
+        out.resize(std::min(raw_size, std::max(n + len, grown)));
+        buf = out.data();
+      }
+    };
     Models models;
     RangeDecoder rc(payload);
     int prev_match = 0;
     RepHistory history;
-    while (out.size() < raw_size) {
+    while (n < raw_size) {
       if (rc.Overran()) {
         return CorruptData("xz-like: truncated range-coded stream");
       }
       if (rc.DecodeBit(models.is_match[prev_match]) == 0) {
-        const int ctx = LiteralContext(out);
-        out.push_back(static_cast<char>(
-            DecodeBitTree(rc, models.literal[ctx], 8)));
+        const int ctx = n == 0 ? 0 : static_cast<uint8_t>(buf[n - 1]);
+        const uint32_t byte = DecodeBitTree<8>(rc, models.Literal(ctx));
+        make_room(1);
+        buf[n++] = static_cast<char>(byte);
         prev_match = 0;
         continue;
       }
       const int is_rep = rc.DecodeBit(models.is_rep[prev_match]);
       const uint32_t lcode =
-          DecodeBitTree(rc, models.len_tree[is_rep ? 0 : 1], kLenTreeBits);
+          DecodeBitTree<kLenTreeBits>(rc, models.len_tree[is_rep ? 0 : 1]);
       uint32_t base = 0;
       uint32_t eb = 0;
       BucketRange(lcode, &base, &eb);
@@ -235,34 +249,41 @@ class XzLikeCodec : public Codec {
                      (eb > 0 ? rc.DecodeDirectBits(static_cast<int>(eb)) : 0);
       uint32_t dist;
       if (is_rep != 0) {
-        const uint32_t rep_index = DecodeBitTree(rc, models.rep_index, 2);
+        const uint32_t rep_index = DecodeBitTree<2>(rc, models.rep_index);
         dist = history.reps[rep_index];
         history.Promote(static_cast<int>(rep_index));
       } else {
         const int dctx = len >= 8 ? 1 : 0;
         const uint32_t dcode =
-            DecodeBitTree(rc, models.dist_tree[dctx], kDistTreeBits);
+            DecodeBitTree<kDistTreeBits>(rc, models.dist_tree[dctx]);
         BucketRange(dcode, &base, &eb);
         uint32_t extra = 0;
         if (eb > 4) {
           extra = rc.DecodeDirectBits(static_cast<int>(eb) - 4) << 4;
-          extra |= DecodeBitTree(rc, models.align, 4);
+          extra |= DecodeBitTree<4>(rc, models.align);
         } else if (eb > 0) {
           extra = rc.DecodeDirectBits(static_cast<int>(eb));
         }
         dist = 1 + base + extra;
         history.PushFront(dist);
       }
-      if (dist == 0 || dist > out.size()) {
+      if (dist == 0 || dist > n) {
         return CorruptData("xz-like: bad match distance");
       }
-      if (out.size() + len > raw_size) {
+      if (len > raw_size - n) {
         return CorruptData("xz-like: match overflows raw size");
       }
-      const size_t src = out.size() - dist;
-      for (uint32_t i = 0; i < len; ++i) {
-        out.push_back(out[src + i]);
+      make_room(len);
+      char* dst = buf + n;
+      const char* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        for (uint32_t i = 0; i < len; ++i) {  // overlapping: byte order matters
+          dst[i] = src[i];
+        }
       }
+      n += len;
       prev_match = 1;
     }
     return out;

@@ -196,9 +196,10 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   // describe what this run actually did.
   if (options_.use_cache && explain == nullptr) {
     if (auto cached = cache_.Lookup(command_key); cached.has_value()) {
+      // A replay decodes nothing: its stage times and capsule counts stay
+      // zero, and from_cache is the caller's signal that no work ran.
       QueryResult result;
       result.hits = std::move(cached->hits);
-      result.locator = cached->locator;  // what the original execution cost
       result.from_cache = true;
       if (options_.metrics != nullptr) {
         options_.metrics->GetOrCreate("query.command_cache_hits")->Increment();
@@ -347,7 +348,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   }
 
   if (options_.use_cache && explain == nullptr) {
-    cache_.Insert(command_key, CachedQuery{result.hits, result.locator});
+    cache_.Insert(command_key, result.hits);
   }
   return result;
 }

@@ -63,8 +63,8 @@ struct EngineOptions {
 
 struct QueryResult {
   QueryHits hits;        // (line number, original text), in block order
-  // Cost accounting. For cache hits this is the snapshot of the execution
-  // that originally produced the result (not zeros).
+  // Cost of this execution. A command-cache hit did no decode work, so its
+  // stats are all zero (from_cache says why).
   LocatorStats locator;
   bool from_cache = false;
 };
@@ -93,13 +93,15 @@ class LogGrepEngine {
   // `block` with the per-variable-vector, per-Capsule decision tree (see
   // src/query/explain.h). Explained executions bypass the command-level
   // QueryCache in both directions — the record must describe a real
-  // execution, and a synthetic cache-bypass run must not overwrite the
-  // cache's cost snapshots. `block` must be non-null.
+  // execution. `block` must be non-null.
   Result<QueryResult> ExplainQuery(std::string_view box_bytes,
                                    std::string_view command,
                                    BlockExplain* block);
   Result<QueryResult> ExplainBox(const BoxKey& key, const BoxLoader& load,
                                  std::string_view command, BlockExplain* block);
+
+  // Thread-safety: the query entry points may run concurrently (the command
+  // cache and the BoxCache are both synchronized); CompressBlock is const.
 
   const EngineOptions& options() const { return options_; }
   const QueryCache& cache() const { return cache_; }

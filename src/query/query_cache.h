@@ -5,23 +5,22 @@
 //
 // The cache is a byte-budgeted LRU: every entry is charged its key plus the
 // rendered hit lines, and inserting past the budget evicts from the cold
-// end. Each entry also snapshots the LocatorStats of the query that produced
-// it, so a cache hit can report what the original execution cost instead of
-// a zeroed locator. Insert is assign-or-insert: re-inserting a key replaces
-// the stale value. Not thread-safe; each engine (and each session memo) owns
-// its own instance.
+// end. Insert is assign-or-insert: re-inserting a key replaces the stale
+// value. Thread-safe: one archive engine serves concurrent queries, so every
+// operation takes an internal mutex; entries are held by shared_ptr so a
+// lookup copies the hits outside the lock.
 #ifndef SRC_QUERY_QUERY_CACHE_H_
 #define SRC_QUERY_QUERY_CACHE_H_
 
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "src/query/locator.h"  // LocatorStats
 
 namespace loggrep {
 
@@ -30,11 +29,10 @@ namespace loggrep {
 // wrap its global line numbers.
 using QueryHits = std::vector<std::pair<uint64_t, std::string>>;
 
-// A memoized query result: the hits plus the cost of the execution that
-// produced them.
+// A memoized query result. It carries no cost snapshot: a replay does no
+// decode work, so it must not report any.
 struct CachedQuery {
   QueryHits hits;
-  LocatorStats locator;
 };
 
 class QueryCache {
@@ -49,27 +47,27 @@ class QueryCache {
 
   // Assign-or-insert (an existing key is replaced, never silently kept),
   // then evicts LRU entries until back under the byte budget.
-  void Insert(const std::string& command, CachedQuery value);
-  void Insert(const std::string& command, const QueryHits& hits) {
-    Insert(command, CachedQuery{hits, LocatorStats{}});
-  }
+  void Insert(const std::string& command, QueryHits hits);
 
   void Clear();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  size_t size() const { return index_.size(); }
-  size_t bytes_in_use() const { return bytes_; }
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t evictions() const;
+  size_t size() const;
+  size_t bytes_in_use() const;
   size_t byte_budget() const { return byte_budget_; }
 
  private:
-  using LruList = std::list<std::pair<std::string, CachedQuery>>;
+  using Entry = std::shared_ptr<const CachedQuery>;
+  using LruList = std::list<std::pair<std::string, Entry>>;
 
   static size_t Charge(const std::string& command, const CachedQuery& value);
+  // Caller holds mu_.
   void EvictOverBudget();
 
-  size_t byte_budget_;
+  const size_t byte_budget_;
+  mutable std::mutex mu_;  // guards everything below
   size_t bytes_ = 0;
   LruList lru_;  // front = most recently used
   std::unordered_map<std::string, LruList::iterator> index_;

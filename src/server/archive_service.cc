@@ -24,8 +24,8 @@ void AppendStatsJson(std::string* out, const ArchiveQueryResult& result) {
   AppendUint(out, result.blocks_pruned);
   out->append(",\"blocks_queried\":");
   AppendUint(out, result.blocks_queried);
-  // Cached blocks replay the cost snapshot of the run that produced them;
-  // this count is how a caller tells replayed cost from fresh work.
+  // Cached blocks add no stage time or decode counts (a replay decodes
+  // nothing); this count says how many blocks were replayed.
   out->append(",\"blocks_from_cache\":");
   AppendUint(out, result.blocks_from_cache);
   out->append(",\"bytes_decompressed\":");
@@ -347,27 +347,19 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
     return response;
   }
 
-  std::lock_guard<std::mutex> lock((*handle)->mu);
+  // Per-request knobs travel by value: they govern this execution only. The
+  // deadline feeds the RetryBudget every storage retry in this query checks.
+  QueryOptions options;
+  options.degrade = request.degrade;
+  options.deadline_ns = request.deadline_ms * 1'000'000ull;
   if ((*handle)->set != nullptr) {
-    return RunOnSet(request, handle->get());
+    return RunOnSet(request, options, (*handle)->set.get());
   }
   LogArchive* archive = (*handle)->archive.get();
-  // Per-request knobs, applied under the archive lock so they only govern
-  // this execution. The deadline feeds the RetryBudget every storage retry
-  // in this query checks; restore the server defaults afterwards.
-  const uint64_t default_deadline = options_.archive.query_deadline_ns;
-  const bool default_degrade = options_.archive.degraded_queries;
-  if (request.deadline_ms > 0) {
-    archive->set_query_deadline_ns(request.deadline_ms * 1'000'000ull);
-  }
-  archive->set_degraded_queries(request.degrade);
-
   QueryExplain explain;
   Result<ArchiveQueryResult> result =
-      request.explain ? archive->Explain(request.command, &explain)
-                      : archive->Query(request.command);
-  archive->set_query_deadline_ns(default_deadline);
-  archive->set_degraded_queries(default_degrade);
+      request.explain ? archive->Explain(request.command, &explain, options)
+                      : archive->Query(request.command, options);
 
   if (!result.ok()) {
     response.http_status = HttpStatusForQueryError(result.status());
@@ -398,11 +390,11 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
 }
 
 // Federated execution: predicates prune shards, the rest scatters across
-// the set's shards under this handle's lock (caller holds it).
+// the set's shards.
 ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
-                                         Handle* handle) {
+                                         const QueryOptions& options,
+                                         ArchiveSet* set) {
   ServiceResponse response;
-  ArchiveSet* set = handle->set.get();
 
   SetQueryPredicate pred;
   if (!request.tenant.empty()) {
@@ -417,19 +409,10 @@ ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
     return response;
   }
 
-  const uint64_t default_deadline = options_.archive.query_deadline_ns;
-  const bool default_degrade = options_.archive.degraded_queries;
-  if (request.deadline_ms > 0) {
-    set->set_query_deadline_ns(request.deadline_ms * 1'000'000ull);
-  }
-  set->set_degraded_queries(request.degrade);
-
   SetExplain explain;
   Result<SetQueryResult> result =
-      request.explain ? set->Explain(request.command, pred, &explain)
-                      : set->Query(request.command, pred);
-  set->set_query_deadline_ns(default_deadline);
-  set->set_degraded_queries(default_degrade);
+      request.explain ? set->Explain(request.command, pred, &explain, options)
+                      : set->Query(request.command, pred, options);
 
   if (!result.ok()) {
     response.http_status = HttpStatusForQueryError(result.status());
@@ -475,9 +458,8 @@ ServiceResponse ArchiveService::Compact(const std::string& archive) {
     response.body = RenderErrorJson(bad);
     return response;
   }
-  // Deliberately not under handle->mu: Compact serializes against other
-  // compactors itself and commits under the set's own lock, so queries keep
-  // flowing while blocks are rewritten.
+  // Compact serializes against other compactors itself and commits under
+  // the set's own lock, so queries keep flowing while blocks are rewritten.
   const SetCompactionReport report = (*handle)->set->Compact();
   response.http_status = report.ok() ? 200 : 500;
   std::string& out = response.body;
@@ -526,8 +508,7 @@ ArchiveService::FederationSummary ArchiveService::federation_summary() const {
     }
   }
   for (const auto& handle : sets) {
-    // janitor_status / compaction_totals take the set's own locks; no need
-    // for the handle query lock (and taking it would stall behind queries).
+    // janitor_status / compaction_totals take the set's own locks.
     ++summary.sets_open;
     const ArchiveSet::JanitorStatus janitor = handle->set->janitor_status();
     summary.janitor_passes += janitor.passes;

@@ -7,14 +7,14 @@
 // keeps one handle per archive directory: first request pays the cold open,
 // every later request from any client starts warm.
 //
-// Concurrency model: LogArchive is not safe for concurrent Query calls (the
-// embedded engine's command cache and the quarantine set are unsynchronized
-// by design — single-process library users own their threading). The
-// service therefore serializes queries *per archive* with one mutex per
-// handle, while different archives run fully in parallel and the BoxCache
-// inside each archive stays warm across all callers. Admission control
-// (how many queries may be in flight process-wide) lives in the daemon, not
-// here.
+// Concurrency model: LogArchive and ArchiveSet are safe for concurrent
+// queries (shared reads, exclusive commits; a set snapshots its shards and
+// then scatters without its lock), so the service takes no lock around a
+// query: any number of requests run on one archive at once, all sharing its
+// warm caches. Per-request knobs (degrade, deadline) travel by value in a
+// QueryOptions and never touch the shared handle. Admission control (how
+// many queries may be in flight process-wide) lives in the daemon and is
+// the only concurrency limit.
 //
 // This header is also the single home of the status contract shared by the
 // CLI and the HTTP API (see HttpStatusForQuery / ExitCodeForHttpStatus):
@@ -60,7 +60,7 @@ namespace loggrep {
 struct ServiceOptions {
   // Base options for every archive the service opens (metrics registry,
   // storage env, cache budget, retry policy). Per-request deadline/degrade
-  // overrides are applied on top, under the archive lock.
+  // knobs come from each ServiceRequest.
   ArchiveOptions archive;
   // Root directory archive names resolve under. A request's `archive`
   // parameter is a relative path below this root; "" or "." is the root
@@ -85,7 +85,7 @@ struct ServiceRequest {
   std::string command;   // query command (§3 syntax)
   bool explain = false;  // run Explain() and include the decision tree
   bool degrade = true;   // false = fail on first block failure (HTTP 500)
-  uint64_t deadline_ms = 0;  // per-query retry budget; 0 = server default
+  uint64_t deadline_ms = 0;  // per-query retry budget; 0 = unlimited
 
   // Federation predicates (HTTP `tenant=` / `from=` / `to=`), honored when
   // the resolved directory is an ArchiveSet root (it has a
@@ -139,15 +139,14 @@ class ArchiveService {
   explicit ArchiveService(ServiceOptions options);
 
   // Executes one query/explain request end-to-end and renders the JSON
-  // response. Thread-safe; queries against the same archive serialize on
-  // that archive's lock.
+  // response. Thread-safe; requests on the same archive run concurrently.
   ServiceResponse Run(const ServiceRequest& request);
 
   // Admin: runs one compaction pass over the named ArchiveSet with the
   // service's policy. 200 + report JSON on success, 400 when the target is
-  // a plain (non-federated) archive, 404/500 as usual. The pass itself runs
-  // *without* the handle's query lock — ArchiveSet::Compact is internally
-  // safe against concurrent queries, and a long merge must not stall reads.
+  // a plain (non-federated) archive, 404/500 as usual. ArchiveSet::Compact
+  // is internally safe against concurrent queries, and a long merge does
+  // not stall reads.
   ServiceResponse Compact(const std::string& archive);
 
   // Aggregate janitor/compaction state across every open ArchiveSet handle
@@ -173,9 +172,8 @@ class ArchiveService {
  private:
   // A handle is either a plain archive or a federated ArchiveSet — the
   // service sniffs set_manifest.json at open time. Exactly one of the two
-  // pointers is set.
+  // pointers is set; both are immutable after open.
   struct Handle {
-    std::mutex mu;  // serializes queries on this archive / set
     std::unique_ptr<LogArchive> archive;
     std::unique_ptr<ArchiveSet> set;
   };
@@ -184,7 +182,8 @@ class ArchiveService {
   // use. kNotFound when the directory has no manifest.
   Result<std::shared_ptr<Handle>> GetOrOpen(const std::string& name);
 
-  ServiceResponse RunOnSet(const ServiceRequest& request, Handle* handle);
+  ServiceResponse RunOnSet(const ServiceRequest& request,
+                           const QueryOptions& options, ArchiveSet* set);
 
   ServiceOptions options_;
   mutable std::mutex mu_;  // guards handles_ (not the archives themselves)

@@ -169,7 +169,7 @@ Result<uint16_t> LoggrepDaemon::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return port_;
 }
 
@@ -178,15 +178,18 @@ void LoggrepDaemon::Shutdown() {
     return;
   }
   stopping_.store(true, std::memory_order_release);
-  // Closing the listener unblocks accept(); shutdown() first for the case
-  // where accept() is mid-call on another thread.
+  // shutdown() unblocks an accept() mid-call on the accept thread; the fd
+  // is closed only after that thread is joined, so it never races a reader
+  // of listen_fd_ or an fd number reused by a new connection.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   if (accept_thread_.joinable()) {
     accept_thread_.join();
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
   // Drain: every connection handler notices stopping_ within one read poll,
   // finishes its in-flight request (responses still go out, tagged
@@ -202,11 +205,11 @@ void LoggrepDaemon::Shutdown() {
   access_log_->Flush();  // every served request's line reaches the sinks
 }
 
-void LoggrepDaemon::AcceptLoop() {
+void LoggrepDaemon::AcceptLoop(int listen_fd) {
   Tracer::Global().SetCurrentThreadName("loggrepd-accept");
   Counter* accepted = metrics_->GetOrCreate("server.connections_accepted");
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;

@@ -161,7 +161,9 @@ class LoggrepDaemon {
     std::string explain_render;  // filled when the request was /explain
   };
 
-  void AcceptLoop();
+  // Accepts on `listen_fd` (passed by value: Shutdown owns listen_fd_)
+  // until Shutdown shuts the listener down.
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
   // Routes one parsed request. Sets `close_after` when the response must be
   // the connection's last (errors, drain).

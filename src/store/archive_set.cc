@@ -100,6 +100,26 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
 
+// Deleter of a shard handle. A query may still hold the handle of a shard
+// that retention or compaction just retired (the scatter runs without the
+// set lock); RetireShardLocked then leaves the directory to this deleter, so
+// whoever drops the last reference removes it.
+struct ShardHandleDeleter {
+  std::string retired_dir;  // written under the set lock, with a reference held
+
+  void operator()(LogArchive* archive) const {
+    delete archive;
+    if (!retired_dir.empty()) {
+      RemoveTreeBestEffort(retired_dir);
+    }
+  }
+};
+
+std::shared_ptr<LogArchive> MakeShardHandle(LogArchive archive) {
+  return std::shared_ptr<LogArchive>(new LogArchive(std::move(archive)),
+                                     ShardHandleDeleter{});
+}
+
 uint64_t CountLines(std::string_view text) {
   if (text.empty()) {
     return 0;
@@ -457,11 +477,12 @@ Status ArchiveSet::MaybeKill(SetKillPoint point) const {
   return OkStatus();
 }
 
-Result<LogArchive*> ArchiveSet::OpenShardLocked(size_t index) {
+Result<std::shared_ptr<LogArchive>> ArchiveSet::OpenShardLocked(
+    size_t index) {
   ShardInfo& info = shards_[index];
   auto it = open_.find(info.id);
   if (it != open_.end()) {
-    return it->second.get();
+    return it->second;
   }
   Result<LogArchive> arch =
       LogArchive::Open(JoinPath(root_, info.dir_name), options_.archive);
@@ -470,16 +491,31 @@ Result<LogArchive*> ArchiveSet::OpenShardLocked(size_t index) {
                   "shard " + std::to_string(info.id) + " (" + info.tenant +
                       "): " + arch.status().message());
   }
-  auto handle = std::make_unique<LogArchive>(std::move(*arch));
-  LogArchive* raw = handle.get();
+  std::shared_ptr<LogArchive> handle = MakeShardHandle(std::move(*arch));
   if (!info.sealed && stats_stale_.count(info.id) != 0) {
-    info.lines = raw->total_lines();
-    info.raw_bytes = raw->total_raw_bytes();
-    info.stored_bytes = raw->total_stored_bytes();
+    info.lines = handle->total_lines();
+    info.raw_bytes = handle->total_raw_bytes();
+    info.stored_bytes = handle->total_stored_bytes();
     stats_stale_.erase(info.id);
   }
-  open_[info.id] = std::move(handle);
-  return raw;
+  open_[info.id] = handle;
+  return handle;
+}
+
+bool ArchiveSet::RetireShardLocked(const ShardInfo& shard) {
+  const std::string dir = JoinPath(root_, shard.dir_name);
+  stats_stale_.erase(shard.id);
+  auto it = open_.find(shard.id);
+  if (it != open_.end()) {
+    std::shared_ptr<LogArchive> handle = std::move(it->second);
+    open_.erase(it);
+    // Queries take references only under mu_, so a count of 1 cannot grow.
+    if (handle.use_count() > 1) {
+      std::get_deleter<ShardHandleDeleter>(handle)->retired_dir = dir;
+      return false;
+    }
+  }
+  return RemoveTreeBestEffort(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +549,8 @@ Result<size_t> ArchiveSet::RollShardLocked(const std::string& tenant,
     // A stale-stat shard must consult its archive before the seal freezes
     // the numbers (min/max ts stay as recorded: conservative, thus sound).
     if (stats_stale_.count(shards_[sealed_index].id) != 0) {
-      Result<LogArchive*> opened = OpenShardLocked(sealed_index);
+      Result<std::shared_ptr<LogArchive>> opened =
+          OpenShardLocked(sealed_index);
       if (!opened.ok()) {
         return opened.status();
       }
@@ -553,7 +590,7 @@ Result<size_t> ArchiveSet::RollShardLocked(const std::string& tenant,
 
   size_t new_index = shards_.size() - 1;
   active_[tenant] = new_index;
-  open_[id] = std::make_unique<LogArchive>(std::move(*created));
+  open_[id] = MakeShardHandle(std::move(*created));
   LOGGREP_RETURN_IF_ERROR(MaybeKill(SetKillPoint::kRollManifestWritten));
   return new_index;
 }
@@ -577,7 +614,8 @@ Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
     // A stale active shard's line/byte counters must be real before the
     // roll decision reads them.
     if (stats_stale_.count(shards_[it->second].id) != 0) {
-      Result<LogArchive*> opened = OpenShardLocked(it->second);
+      Result<std::shared_ptr<LogArchive>> opened =
+          OpenShardLocked(it->second);
       if (!opened.ok()) {
         return opened.status();
       }
@@ -602,7 +640,7 @@ Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
     index = active_[tenant_key];
   }
 
-  Result<LogArchive*> arch = OpenShardLocked(index);
+  Result<std::shared_ptr<LogArchive>> arch = OpenShardLocked(index);
   if (!arch.ok()) {
     return arch.status();
   }
@@ -651,30 +689,34 @@ std::string SetQueryResult::RenderPartial() const {
 }
 
 Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
-                                         const SetQueryPredicate& pred) {
-  return QueryImpl(command, pred, /*num_threads=*/0, /*explain=*/nullptr);
+                                         const SetQueryPredicate& pred,
+                                         const QueryOptions& options) {
+  return QueryImpl(command, pred, options, /*num_threads=*/0,
+                   /*explain=*/nullptr);
 }
 
 Result<SetQueryResult> ArchiveSet::ParallelQuery(std::string_view command,
                                                  const SetQueryPredicate& pred,
-                                                 size_t num_threads) {
+                                                 size_t num_threads,
+                                                 const QueryOptions& options) {
   if (num_threads == 0) {
     return InvalidArgument("ParallelQuery needs at least one thread");
   }
-  return QueryImpl(command, pred, num_threads, /*explain=*/nullptr);
+  return QueryImpl(command, pred, options, num_threads, /*explain=*/nullptr);
 }
 
 Result<SetQueryResult> ArchiveSet::Explain(std::string_view command,
                                            const SetQueryPredicate& pred,
-                                           SetExplain* explain) {
-  return QueryImpl(command, pred, /*num_threads=*/0, explain);
+                                           SetExplain* explain,
+                                           const QueryOptions& options) {
+  return QueryImpl(command, pred, options, /*num_threads=*/0, explain);
 }
 
 Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
                                              const SetQueryPredicate& pred,
+                                             const QueryOptions& options,
                                              size_t num_threads,
                                              SetExplain* explain) {
-  std::lock_guard<std::mutex> lock(mu_);
   // A malformed command must fail even when every shard is pruned (the
   // answer "no hits" would be a lie about a query that has no meaning).
   {
@@ -688,13 +730,18 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     explain->shards.clear();
   }
 
+  // Snapshot under mu_: prune shards, open the survivors, and copy what the
+  // gather needs. The scatter below runs without mu_; the shared handles
+  // keep every visited shard alive (and its directory on disk) even if
+  // retention or a compaction commit retires it meanwhile.
   SetQueryResult result;
   struct Visit {
-    size_t index;            // into shards_
-    LogArchive* archive;     // open handle
-    size_t explain_index;    // into explain->shards (or SIZE_MAX)
+    ShardInfo shard;                      // copied: shards_ may change
+    std::shared_ptr<LogArchive> archive;  // pinned handle
+    size_t explain_index;                 // into explain->shards (or SIZE_MAX)
   };
   std::vector<Visit> visits;
+  std::unique_lock<std::mutex> lock(mu_);
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardInfo& s = shards_[i];
     if (!s.live()) {
@@ -725,9 +772,9 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       explain->shards.push_back(std::move(se));
       explain_index = explain->shards.size() - 1;
     }
-    Result<LogArchive*> arch = OpenShardLocked(i);
+    Result<std::shared_ptr<LogArchive>> arch = OpenShardLocked(i);
     if (!arch.ok()) {
-      if (!options_.archive.degraded_queries) {
+      if (!options.degrade) {
         return arch.status();
       }
       ++result.shards_failed;
@@ -744,12 +791,12 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       result.shard_failures.push_back(std::move(failure));
       continue;
     }
-    visits.push_back(Visit{i, *arch, explain_index});
+    visits.push_back(Visit{s, std::move(*arch), explain_index});
   }
+  lock.unlock();
 
-  // Scatter. Each visit queries a distinct LogArchive, so parallel workers
-  // never share mutable state (they do share the env and, per archive, a
-  // BoxCache — both thread-safe).
+  // Scatter. Each visit queries a distinct LogArchive; each archive is
+  // itself safe for concurrent queries from other callers.
   struct Slot {
     bool done = false;
     Status status = OkStatus();
@@ -761,8 +808,9 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     Result<ArchiveQueryResult> r =
         explain != nullptr
             ? visits[v].archive->Explain(
-                  command, &explain->shards[visits[v].explain_index].archive)
-            : visits[v].archive->Query(command);
+                  command, &explain->shards[visits[v].explain_index].archive,
+                  options)
+            : visits[v].archive->Query(command, options);
     if (r.ok()) {
       slot.result = std::move(*r);
       slot.done = true;
@@ -785,13 +833,13 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
   // Gather in id order (visits preserve it), rebasing shard-local line
   // numbers onto each shard's global base.
   for (size_t v = 0; v < visits.size(); ++v) {
-    const ShardInfo& s = shards_[visits[v].index];
+    const ShardInfo& s = visits[v].shard;
     Slot& slot = slots[v];
     if (!slot.done) {
       // A whole-shard query failure. Query-syntax errors never degrade
       // (same rule as LogArchive) — but the upfront parse already caught
       // those, so any InvalidArgument here is real and must surface.
-      if (!options_.archive.degraded_queries ||
+      if (!options.degrade ||
           slot.status.code() == StatusCode::kInvalidArgument) {
         return slot.status;
       }
@@ -954,9 +1002,7 @@ Result<SetRetentionReport> ArchiveSet::RunRetention(uint64_t now_ns) {
   }
 
   for (size_t i : expiring) {
-    open_.erase(shards_[i].id);
-    stats_stale_.erase(shards_[i].id);
-    if (RemoveTreeBestEffort(JoinPath(root_, shards_[i].dir_name))) {
+    if (RetireShardLocked(shards_[i])) {
       ++report.dirs_removed;
     }
   }
@@ -979,28 +1025,12 @@ Status ArchiveSet::RefreshStats() {
     if (!shards_[i].live() || stats_stale_.count(shards_[i].id) == 0) {
       continue;
     }
-    Result<LogArchive*> opened = OpenShardLocked(i);
+    Result<std::shared_ptr<LogArchive>> opened = OpenShardLocked(i);
     if (!opened.ok() && first_error.ok()) {
       first_error = opened.status();
     }
   }
   return first_error;
-}
-
-void ArchiveSet::set_degraded_queries(bool degraded) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.archive.degraded_queries = degraded;
-  for (auto& [id, archive] : open_) {
-    archive->set_degraded_queries(degraded);
-  }
-}
-
-void ArchiveSet::set_query_deadline_ns(uint64_t deadline_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.archive.query_deadline_ns = deadline_ns;
-  for (auto& [id, archive] : open_) {
-    archive->set_query_deadline_ns(deadline_ns);
-  }
 }
 
 SetRepairReport ArchiveSet::RepairAll() {
@@ -1063,7 +1093,8 @@ SetCompactionReport ArchiveSet::Compact(const CompactionPolicy& policy) {
       bool pending = false;
       auto it = open_.find(s.id);
       if (it != open_.end()) {
-        for (const QuarantineEntry& e : it->second->quarantine().entries) {
+        const QuarantineSet quarantine = it->second->quarantine();
+        for (const QuarantineEntry& e : quarantine.entries) {
           if (!e.tombstoned) {
             pending = true;
             break;
@@ -1267,13 +1298,12 @@ Status ArchiveSet::CompactOneRun(const CompactionRun& run,
     return killed;  // source dirs linger; Open finishes the removal
   }
 
-  // GC: drop handles and directories of the superseded sources. Queries
-  // already see only the merged shard (the manifest said so under this same
-  // lock), so nothing can touch these handles again.
+  // GC: drop handles and directories of the superseded sources. New
+  // queries see only the merged shard (the manifest said so under this same
+  // lock); a query that snapshotted the sources before the commit keeps
+  // their directories until it finishes.
   for (const ShardInfo& src : sources) {
-    open_.erase(src.id);
-    stats_stale_.erase(src.id);
-    if (RemoveTreeBestEffort(JoinPath(root_, src.dir_name))) {
+    if (RetireShardLocked(src)) {
       ++report->dirs_removed;
     }
   }

@@ -60,10 +60,18 @@
 // healthy shard plus a report naming each hole, and the serving layer maps
 // it to HTTP 206 exactly as for a single archive.
 //
-// Thread-safety: public methods serialize on one internal mutex (so the
-// background janitor can run against live traffic); ParallelQuery fans the
-// *per-shard* work across a ThreadPool while holding it — distinct shards
-// are distinct archives, so workers never contend.
+// Thread-safety: every public method but set_commit_hook is safe to call
+// concurrently. Writers (Append, retention, repair, the compaction commit)
+// serialize on one internal mutex. A query holds that mutex only to
+// snapshot its visit list — parse, shard pruning, lazy shard opens, and a
+// copy of each visited shard's ShardInfo plus a shared handle — then
+// scatters without it, so queries run in parallel with each other and with
+// writers. Each shard archive guards itself (LogArchive: shared reads,
+// exclusive commits). A shard that retention or compaction retires while a
+// query still holds its handle keeps its directory until that query lets
+// go; the snapshot makes every query see a shard set that was current at
+// one instant (all of a compaction's sources, or its merged shard — never
+// both, never neither).
 #ifndef SRC_STORE_ARCHIVE_SET_H_
 #define SRC_STORE_ARCHIVE_SET_H_
 
@@ -88,7 +96,7 @@ namespace loggrep {
 
 struct ArchiveSetOptions {
   // Per-shard archive options (storage env, retry policy, cache budget,
-  // metrics registry, degraded-query switch — all apply to every shard).
+  // metrics registry — all apply to every shard).
   ArchiveOptions archive;
   // Time-window span for shard partitioning. 0 = one unbounded window per
   // tenant (shards then roll on size only).
@@ -258,20 +266,25 @@ class ArchiveSet {
                                uint64_t ts_ns = 0);
 
   // Federated query over every live shard surviving `pred`. Serial
-  // (shard-at-a-time) scatter.
+  // (shard-at-a-time) scatter. `options` (degrade, retry deadline) applies
+  // to this call only; with degrade off an unopenable or failing shard
+  // fails the query instead of becoming a hole.
   Result<SetQueryResult> Query(std::string_view command,
-                               const SetQueryPredicate& pred = {});
+                               const SetQueryPredicate& pred = {},
+                               const QueryOptions& options = {});
   // Same result; surviving shards are queried concurrently on
   // `num_threads` pool workers.
   Result<SetQueryResult> ParallelQuery(std::string_view command,
                                        const SetQueryPredicate& pred,
-                                       size_t num_threads);
+                                       size_t num_threads,
+                                       const QueryOptions& options = {});
   // Query with the full shard-level decision record (pruned shards carry
   // the rejecting predicate; visited shards carry their per-block
   // QueryExplain). Serial, like LogArchive::Explain.
   Result<SetQueryResult> Explain(std::string_view command,
                                  const SetQueryPredicate& pred,
-                                 SetExplain* explain);
+                                 SetExplain* explain,
+                                 const QueryOptions& options = {});
 
   // Expires sealed shards whose newest event timestamp is older than
   // now_ns - retention_ns (plus sealed empty shards). No-op when
@@ -342,12 +355,6 @@ class ArchiveSet {
   // thread-safe; set before driving traffic.
   void set_commit_hook(SetCommitHook hook) { hook_ = std::move(hook); }
 
-  // Per-request knobs for the serving layer: applied to every shard archive
-  // currently open and to every shard opened afterwards. Thread-safe (takes
-  // the set lock); the caller restores the defaults after its query.
-  void set_degraded_queries(bool degraded);
-  void set_query_deadline_ns(uint64_t deadline_ns);
-
   // Opens every live shard whose persisted stats are stale (unsealed at the
   // last crash/close) and refreshes lines/bytes from its archive, so
   // shards()/total_*() report exact numbers. Best-effort per shard: an
@@ -404,13 +411,19 @@ class ArchiveSet {
   // queries run through LogArchive::Explain. num_threads == 0 => serial.
   Result<SetQueryResult> QueryImpl(std::string_view command,
                                    const SetQueryPredicate& pred,
+                                   const QueryOptions& options,
                                    size_t num_threads, SetExplain* explain);
 
   Status WriteSetManifestLocked();
   // Opens (and caches) the archive of shard `index` in shards_. For an
   // unsealed shard opened for the first time since Open, refreshes the
   // advisory stats from the archive itself.
-  Result<LogArchive*> OpenShardLocked(size_t index);
+  Result<std::shared_ptr<LogArchive>> OpenShardLocked(size_t index);
+  // Drops the handle of a shard that retention expired or compaction
+  // superseded, and removes its directory: now when no query holds the
+  // handle, else when the last query holding it lets go. Returns true when
+  // this call removed the directory.
+  bool RetireShardLocked(const ShardInfo& shard);
   // Rolls `tenant` to a fresh shard for window_start; returns its index.
   Result<size_t> RollShardLocked(const std::string& tenant, uint64_t ts_ns);
   // Runs the hook at `point`; non-null return aborts the caller.
@@ -442,8 +455,9 @@ class ArchiveSet {
   // tenant -> index into shards_ of the active (unsealed) shard.
   std::map<std::string, size_t> active_;
   // shard id -> open archive handle (lazy; sealed shards open on first
-  // query, unsealed ones on first append/query).
-  std::map<uint64_t, std::unique_ptr<LogArchive>> open_;
+  // query, unsealed ones on first append/query). Shared with in-flight
+  // queries, which take a reference only under mu_.
+  std::map<uint64_t, std::shared_ptr<LogArchive>> open_;
   // Unsealed shard ids whose manifest stats are stale until the archive is
   // opened and consulted (set by Open after a crash or plain restart).
   std::map<uint64_t, bool> stats_stale_;

@@ -67,10 +67,11 @@ Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
                         ": " + source.status().message());
     }
     const uint64_t rebase = src.line_base - merged_base;
+    const QuarantineSet quarantine = source->quarantine();
     for (const BlockInfo& block : source->blocks()) {
       BlockInfo carried = block;  // content/stored hash, stamp, shingles
       carried.first_line = rebase + block.first_line;
-      const QuarantineEntry* q = source->quarantine().Find(block.seq);
+      const QuarantineEntry* q = quarantine.Find(block.seq);
       if (q != nullptr) {
         if (!q->tombstoned) {
           // The planner excludes shards with unrepaired holes; reaching one

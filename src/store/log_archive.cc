@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ctime>
 #include <filesystem>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -184,7 +186,9 @@ LogArchive::LogArchive(std::string dir, ArchiveOptions options)
                            options.box_cache_budget_bytes, /*shards=*/8,
                            options.metrics})
                      : nullptr),
-      engine_(ArchiveEngineOptions(options_.engine, box_cache_.get())) {}
+      engine_(std::make_unique<LogGrepEngine>(
+          ArchiveEngineOptions(options_.engine, box_cache_.get()))),
+      mu_(std::make_unique<std::shared_mutex>()) {}
 
 BoxKey LogArchive::KeyForBlock(uint32_t seq) const {
   return BoxKey::ForSequence(cache_namespace_, seq);
@@ -369,8 +373,14 @@ Result<LogArchive> LogArchive::Open(std::string dir, ArchiveOptions options) {
   return archive;
 }
 
+QuarantineSet LogArchive::quarantine() const {
+  const std::shared_lock<std::shared_mutex> lock(*mu_);
+  return quarantine_;
+}
+
 Status LogArchive::ReloadQuarantine() {
   Result<QuarantineSet> loaded = LoadQuarantine(dir_, storage_env());
+  const std::unique_lock<std::shared_mutex> lock(*mu_);
   if (!loaded.ok()) {
     quarantine_ = QuarantineSet{};
     return loaded.status();
@@ -392,12 +402,12 @@ Status LogArchive::ReloadQuarantine() {
   return OkStatus();
 }
 
-std::string LogArchive::SerializeManifest() const {
+std::string LogArchive::SerializeManifest(const BlockInfo* pending) const {
   ByteWriter out;
   out.PutU32(kManifestMagic);
   out.PutU8(kManifestVersion);
-  out.PutVarint(blocks_.size());
-  for (const BlockInfo& block : blocks_) {
+  out.PutVarint(blocks_.size() + (pending != nullptr ? 1 : 0));
+  auto put = [&out](const BlockInfo& block) {
     out.PutVarint(block.seq);
     for (uint64_t field : {block.first_line, block.line_count, block.raw_bytes,
                            block.stored_bytes}) {
@@ -407,6 +417,12 @@ std::string LogArchive::SerializeManifest() const {
     out.PutU64(block.stored_hash);
     block.token_stamp.WriteTo(out);
     block.shingles.WriteTo(out);
+  };
+  for (const BlockInfo& block : blocks_) {
+    put(block);
+  }
+  if (pending != nullptr) {
+    put(*pending);
   }
   return std::string(out.data());
 }
@@ -457,7 +473,7 @@ void LogArchive::SweepUnreferencedBlocks() const {
 
 Status LogArchive::AppendBlock(std::string_view text) {
   BlockInfo block = BuildBlockSummary(text, options_.bloom_bits_per_shingle);
-  const std::string box = engine_.CompressBlock(text);
+  const std::string box = engine_->CompressBlock(text);
   return CommitCompressedBlock(box, std::move(block), nullptr);
 }
 
@@ -521,10 +537,10 @@ Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
                     CommitKillPointName(CommitKillPoint::kBlockRenamed));
   }
 
-  // Step 3+4: manifest swap. On any failure the in-memory state rolls back;
-  // the already-renamed block file becomes an orphan swept at next Open.
-  blocks_.push_back(std::move(block));
-  const std::string manifest = SerializeManifest();
+  // Step 3+4: manifest swap. The entry is published to queries only once
+  // the new manifest is in place; on any failure the already-renamed block
+  // file becomes an orphan swept at next Open.
+  const std::string manifest = SerializeManifest(&block);
   const ScopedTempFile manifest_tmp(ManifestPath());
   if (Status s = RetryStorage("commit.write_manifest",
                               [&] {
@@ -533,7 +549,6 @@ Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
                               });
       !s.ok()) {
     (void)env->RemoveFile(manifest_tmp.path());
-    blocks_.pop_back();
     return s;
   }
   if (Status s = RetryStorage(
@@ -541,11 +556,9 @@ Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
           [&] { return env->SyncFile(manifest_tmp.path()); });
       !s.ok()) {
     (void)env->RemoveFile(manifest_tmp.path());
-    blocks_.pop_back();
     return s;
   }
   if (hook && hook(CommitKillPoint::kManifestTmpWritten)) {
-    blocks_.pop_back();
     return Internal(std::string("archive: commit aborted at ") +
                     CommitKillPointName(CommitKillPoint::kManifestTmpWritten));
   }
@@ -553,8 +566,11 @@ Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
           "commit.rename_manifest",
           [&] { return env->Rename(manifest_tmp.path(), ManifestPath()); });
       !s.ok()) {
-    blocks_.pop_back();
     return s;
+  }
+  {
+    const std::unique_lock<std::shared_mutex> lock(*mu_);
+    blocks_.push_back(std::move(block));
   }
   // Directory-entry durability: both renames survive power loss, not just
   // process death.
@@ -579,7 +595,9 @@ Status LogArchive::CommitTombstonedBlock(BlockInfo block,
   // Sidecar first: Open treats a manifest entry with no block file as
   // corruption *unless* the quarantine explains it, and ReloadQuarantine
   // filters entries whose seq the manifest doesn't know — so sidecar-then-
-  // manifest is safe on either side of a crash.
+  // manifest is safe on either side of a crash. The writer lock spans both
+  // writes: a query must never see the entry without its quarantine record.
+  const std::unique_lock<std::shared_mutex> lock(*mu_);
   const QuarantineSet saved_quarantine = quarantine_;
   quarantine_.Add(std::move(entry));
   if (Status s = RetryStorage("commit.write_quarantine",
@@ -626,13 +644,16 @@ Result<std::string> LogArchive::LoadBlockBytes(uint32_t seq,
                        options_.metrics);
 }
 
-void LogArchive::QuarantineBlock(const BlockInfo& block, const Status& cause) {
+bool LogArchive::QuarantineBlock(const BlockRef& block, const Status& cause) {
   QuarantineEntry entry;
   entry.seq = block.seq;
   entry.code = StatusCodeName(cause.code());
   entry.error = cause.message();
   entry.quarantined_unix = static_cast<uint64_t>(::time(nullptr));
-  quarantine_.Add(std::move(entry));
+  const std::unique_lock<std::shared_mutex> lock(*mu_);
+  if (!quarantine_.Add(std::move(entry))) {
+    return false;  // a concurrent query got here first and persisted it
+  }
   if (options_.metrics != nullptr) {
     options_.metrics->GetOrCreate("storage.quarantine.added")->Add(1);
   }
@@ -645,9 +666,10 @@ void LogArchive::QuarantineBlock(const BlockInfo& block, const Status& cause) {
           ->Add(1);
     }
   }
+  return true;
 }
 
-bool LogArchive::SkipIfQuarantined(const BlockInfo& block,
+bool LogArchive::SkipIfQuarantined(const BlockRef& block,
                                    PartialReport* report) const {
   const QuarantineEntry* entry = quarantine_.Find(block.seq);
   if (entry == nullptr) {
@@ -666,27 +688,26 @@ bool LogArchive::SkipIfQuarantined(const BlockInfo& block,
   return true;
 }
 
-bool LogArchive::DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                                  PartialReport* report) {
+bool LogArchive::DegradeOnFailure(const BlockRef& block, const Status& cause,
+                                  bool degrade, PartialReport* report) {
   // A malformed query is the caller's bug, not the block's: never degrade.
-  if (!options_.degraded_queries ||
-      cause.code() == StatusCode::kInvalidArgument) {
+  if (!degrade || cause.code() == StatusCode::kInvalidArgument) {
     return false;
   }
-  QuarantineBlock(block, cause);
+  const bool fresh = QuarantineBlock(block, cause);
   BlockQueryFailure failure;
   failure.seq = block.seq;
   failure.first_line = block.first_line;
   failure.line_count = block.line_count;
   failure.error = cause.ToString();
-  failure.newly_quarantined = true;
+  failure.newly_quarantined = fresh;
   failure.tombstoned = false;
   report->failures.push_back(std::move(failure));
   return true;
 }
 
 uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
-                                 std::vector<const BlockInfo*>* to_query,
+                                 std::vector<BlockRef>* to_query,
                                  uint32_t* pruned,
                                  QueryExplain* explain) const {
   const TraceSpan span("archive.prune", "query", "blocks", blocks_.size());
@@ -711,219 +732,150 @@ uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
     if (drop) {
       ++*pruned;
     } else {
-      to_query->push_back(&block);
+      to_query->push_back(BlockRef{block.seq, block.first_line,
+                                   block.line_count});
     }
   }
   return ElapsedNanos(timer);
 }
 
-Result<ArchiveQueryResult> LogArchive::Query(std::string_view command) {
+Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
+                                             const QueryOptions& options) {
   const TraceSpan span("archive.query", "query");
+  return QueryImpl(command, options, /*num_threads=*/1, /*explain=*/nullptr);
+}
+
+Result<ArchiveQueryResult> LogArchive::ParallelQuery(
+    std::string_view command, size_t num_threads, const QueryOptions& options) {
+  const TraceSpan span("archive.parallel_query", "query");
+  return QueryImpl(command, options, num_threads, /*explain=*/nullptr);
+}
+
+Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
+                                               QueryExplain* explain,
+                                               const QueryOptions& options) {
+  const TraceSpan span("archive.explain", "query");
+  explain->command.assign(command.data(), command.size());
+  explain->blocks.clear();
+  return QueryImpl(command, options, /*num_threads=*/1, explain);
+}
+
+Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
+                                                 const QueryOptions& options,
+                                                 size_t num_threads,
+                                                 QueryExplain* explain) {
   Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
   if (!expr.ok()) {
     return expr.status();
   }
   const std::vector<std::string> required = RequiredKeywords(**expr);
 
+  // Snapshot under the reader lock: prune, then set known-sick blocks aside
+  // (a standing hole each, no retry storm). Everything after runs unlocked.
   ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned);
-
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  for (const BlockInfo* block : to_query) {
-    if (SkipIfQuarantined(*block, &result.partial)) {
+  std::vector<BlockRef> to_query;
+  std::vector<BlockRef> submitted;
+  {
+    const std::shared_lock<std::shared_mutex> lock(*mu_);
+    result.locator.prune_nanos =
+        PruneBlocks(required, &to_query, &result.blocks_pruned, explain);
+    submitted.reserve(to_query.size());
+    for (const BlockRef& block : to_query) {
+      if (!SkipIfQuarantined(block, &result.partial)) {
+        submitted.push_back(block);
+        continue;
+      }
       // Strict mode is complete-or-error: a standing hole (even one a repair
       // already tombstoned) makes the answer incomplete, so it must fail
       // rather than silently narrow to the healthy blocks.
-      if (!options_.degraded_queries) {
+      if (!options.degrade) {
         return Status(StatusCode::kUnavailable,
-                      "block " + std::to_string(block->seq) +
+                      "block " + std::to_string(block.seq) +
                           " is quarantined and degraded queries are "
                           "disabled: " +
                           result.partial.failures.back().error);
       }
-      continue;  // standing hole; no retry storm on a known-sick block
     }
+  }
+
+  // PruneBlocks appended one BlockExplain per block, in seq order; map seq ->
+  // slot so each visited block fills its own record.
+  std::unordered_map<uint32_t, BlockExplain*> explain_of_seq;
+  if (explain != nullptr) {
+    explain_of_seq.reserve(explain->blocks.size());
+    for (BlockExplain& be : explain->blocks) {
+      explain_of_seq.emplace(be.seq, &be);
+    }
+    for (const BlockQueryFailure& f : result.partial.failures) {
+      BlockExplain* be = explain_of_seq.at(f.seq);
+      be->block_failed = true;
+      be->failure = f.error;
+    }
+  }
+
+  std::vector<std::optional<Result<QueryResult>>> slots(submitted.size());
+  // One retry budget shared by every block: the *query* has a deadline, not
+  // each block (Expired() is a lock-free read of the env clock).
+  const RetryBudget budget(storage_env(), options.deadline_ns);
+  auto run_one = [&](size_t i) {
+    const BlockRef& block = submitted[i];
+    // Under ParallelQuery, ThreadPool installs the submitting span as
+    // parent, so this span nests under archive.parallel_query.
     const TraceSpan block_span("archive.query_block", "query", "seq",
-                               block->seq);
+                               block.seq);
     // Warm blocks never touch the file: the loader only runs on a box-cache
     // miss (or when the archive runs without a cache).
-    auto loader = [this, block, &budget]() -> Result<std::string> {
-      return LoadBlockBytes(block->seq, &budget);
+    auto loader = [this, &block, &budget]() -> Result<std::string> {
+      return LoadBlockBytes(block.seq, &budget);
     };
-    Result<QueryResult> block_result =
-        engine_.QueryBox(KeyForBlock(block->seq), loader, command);
+    slots[i].emplace(
+        explain != nullptr
+            ? engine_->ExplainBox(KeyForBlock(block.seq), loader, command,
+                                  explain_of_seq.at(block.seq))
+            : engine_->QueryBox(KeyForBlock(block.seq), loader, command));
+  };
+  if (num_threads > 1 && explain == nullptr && submitted.size() > 1) {
+    ThreadPool pool(std::min(num_threads, submitted.size()));
+    for (size_t i = 0; i < submitted.size(); ++i) {
+      pool.Submit([&run_one, i] { run_one(i); });
+    }
+    pool.Wait();
+  } else {
+    for (size_t i = 0; i < submitted.size(); ++i) {
+      run_one(i);
+    }
+  }
+
+  // Gather in block order, rebasing block-local line numbers.
+  for (size_t i = 0; i < submitted.size(); ++i) {
+    const BlockRef& block = submitted[i];
+    Result<QueryResult>& block_result = *slots[i];
     if (!block_result.ok()) {
-      if (DegradeOnFailure(*block, block_result.status(), &result.partial)) {
-        continue;
+      if (!DegradeOnFailure(block, block_result.status(), options.degrade,
+                            &result.partial)) {
+        return block_result.status();
       }
-      return block_result.status();
+      if (explain != nullptr) {
+        BlockExplain* be = explain_of_seq.at(block.seq);
+        be->block_failed = true;
+        be->failure = result.partial.failures.back().error;
+      }
+      continue;
     }
     ++result.blocks_queried;
     if (block_result->from_cache) {
       ++result.blocks_from_cache;
     }
     for (auto& [line, text_line] : block_result->hits) {
-      result.hits.emplace_back(block->first_line + line, std::move(text_line));
+      result.hits.emplace_back(block.first_line + line, std::move(text_line));
     }
     result.locator.Accumulate(block_result->locator);
-  }
-  return result;
-}
-
-Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
-                                               QueryExplain* explain) {
-  const TraceSpan span("archive.explain", "query");
-  explain->command.assign(command.data(), command.size());
-  explain->blocks.clear();
-  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
-  if (!expr.ok()) {
-    return expr.status();
-  }
-  const std::vector<std::string> required = RequiredKeywords(**expr);
-
-  ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned, explain);
-
-  // PruneBlocks appended one BlockExplain per block, in blocks_ order; map
-  // seq -> slot so each queried block fills its own record.
-  std::unordered_map<uint32_t, size_t> slot_of_seq;
-  slot_of_seq.reserve(explain->blocks.size());
-  for (size_t i = 0; i < explain->blocks.size(); ++i) {
-    slot_of_seq.emplace(explain->blocks[i].seq, i);
-  }
-
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  for (const BlockInfo* block : to_query) {
-    BlockExplain* be = &explain->blocks[slot_of_seq.at(block->seq)];
-    if (SkipIfQuarantined(*block, &result.partial)) {
-      if (!options_.degraded_queries) {
-        return Status(StatusCode::kUnavailable,
-                      "block " + std::to_string(block->seq) +
-                          " is quarantined and degraded queries are "
-                          "disabled: " +
-                          result.partial.failures.back().error);
-      }
-      be->block_failed = true;
-      be->failure = result.partial.failures.back().error;
-      continue;
-    }
-    const TraceSpan block_span("archive.query_block", "query", "seq",
-                               block->seq);
-    auto loader = [this, block, &budget]() -> Result<std::string> {
-      return LoadBlockBytes(block->seq, &budget);
-    };
-    Result<QueryResult> block_result =
-        engine_.ExplainBox(KeyForBlock(block->seq), loader, command, be);
-    if (!block_result.ok()) {
-      if (DegradeOnFailure(*block, block_result.status(), &result.partial)) {
-        be->block_failed = true;
-        be->failure = result.partial.failures.back().error;
-        continue;
-      }
-      return block_result.status();
-    }
-    ++result.blocks_queried;
-    for (auto& [line, text_line] : block_result->hits) {
-      result.hits.emplace_back(block->first_line + line, std::move(text_line));
-    }
-    result.locator.Accumulate(block_result->locator);
-  }
-  return result;
-}
-
-Result<ArchiveQueryResult> LogArchive::ParallelQuery(std::string_view command,
-                                                     size_t num_threads) {
-  const TraceSpan span("archive.parallel_query", "query");
-  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
-  if (!expr.ok()) {
-    return expr.status();
-  }
-  const std::vector<std::string> required = RequiredKeywords(**expr);
-
-  ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned);
-
-  // Known-sick blocks are skipped up front (a standing hole each); only
-  // healthy blocks are fanned out to workers.
-  std::vector<const BlockInfo*> submitted;
-  submitted.reserve(to_query.size());
-  for (const BlockInfo* block : to_query) {
-    if (!SkipIfQuarantined(*block, &result.partial)) {
-      submitted.push_back(block);
-    }
-  }
-
-  struct PerBlock {
-    Status status;
-    QueryHits hits;
-    LocatorStats locator;
-  };
-  std::vector<PerBlock> slots(submitted.size());
-  // One retry budget shared by every worker: the *query* has a deadline, not
-  // each block (Expired() is a lock-free read of the env clock).
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  {
-    ThreadPool pool(num_threads);
-    for (size_t i = 0; i < submitted.size(); ++i) {
-      const BlockInfo* block = submitted[i];
-      PerBlock* slot = &slots[i];
-      const std::string command_copy(command);
-      const BoxKey key = KeyForBlock(block->seq);
-      EngineOptions opts = options_.engine;
-      opts.use_cache = false;  // per-task engines share no command cache...
-      // ...but they all share the archive's BoxCache: a block decompressed by
-      // one worker (or a prior serial query) is warm for every other.
-      opts.box_cache = box_cache_.get();
-      opts.use_box_cache = box_cache_ != nullptr;
-      pool.Submit([this, block, slot, command_copy, key, opts, &budget] {
-        // ThreadPool installs the submitting span as parent, so this span
-        // nests under archive.parallel_query in the exported trace even
-        // though it runs on a worker thread.
-        const TraceSpan block_span("archive.query_block", "query", "seq",
-                                   block->seq);
-        LogGrepEngine engine(opts);
-        auto loader = [this, block, &budget]() -> Result<std::string> {
-          return LoadBlockBytes(block->seq, &budget);
-        };
-        Result<QueryResult> r = engine.QueryBox(key, loader, command_copy);
-        if (!r.ok()) {
-          slot->status = r.status();
-          return;
-        }
-        slot->locator = r->locator;
-        for (auto& [line, text] : r->hits) {
-          slot->hits.emplace_back(block->first_line + line, std::move(text));
-        }
-      });
-    }
-    pool.Wait();
-  }
-  // Collection runs on the calling thread: quarantine mutation and sidecar
-  // persistence stay single-threaded.
-  for (size_t i = 0; i < submitted.size(); ++i) {
-    PerBlock& slot = slots[i];
-    if (!slot.status.ok()) {
-      if (DegradeOnFailure(*submitted[i], slot.status, &result.partial)) {
-        continue;
-      }
-      return slot.status;
-    }
-    ++result.blocks_queried;
-    result.hits.insert(result.hits.end(),
-                       std::make_move_iterator(slot.hits.begin()),
-                       std::make_move_iterator(slot.hits.end()));
-    result.locator.Accumulate(slot.locator);
   }
   return result;
 }
 
 uint64_t LogArchive::total_lines() const {
+  const std::shared_lock<std::shared_mutex> lock(*mu_);
   uint64_t n = 0;
   for (const BlockInfo& b : blocks_) {
     n += b.line_count;
@@ -932,6 +884,7 @@ uint64_t LogArchive::total_lines() const {
 }
 
 uint64_t LogArchive::total_raw_bytes() const {
+  const std::shared_lock<std::shared_mutex> lock(*mu_);
   uint64_t n = 0;
   for (const BlockInfo& b : blocks_) {
     n += b.raw_bytes;
@@ -940,6 +893,7 @@ uint64_t LogArchive::total_raw_bytes() const {
 }
 
 uint64_t LogArchive::total_stored_bytes() const {
+  const std::shared_lock<std::shared_mutex> lock(*mu_);
   uint64_t n = 0;
   for (const BlockInfo& b : blocks_) {
     n += b.stored_bytes;

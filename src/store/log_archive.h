@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -47,14 +48,19 @@ struct ArchiveOptions {
   // re-attempted with decorrelated-jitter backoff before a block is given up
   // on). max_attempts = 1 disables retrying.
   RetryPolicy retry;
-  // Per-query retry deadline: one Query/ParallelQuery/Explain call never
-  // spends more than this much wall time in backoff, no matter how many
-  // blocks fail. 0 means unlimited.
-  uint64_t query_deadline_ns = 0;
+};
+
+// Per-call query knobs, passed by value so concurrent queries on one archive
+// (or one ArchiveSet) never share mutable request state.
+struct QueryOptions {
   // When true (default), a block whose read or decode fails after retries is
   // quarantined and the query degrades (hits from healthy blocks plus a
-  // PartialReport). When false, the first block failure fails the query.
-  bool degraded_queries = true;
+  // PartialReport). When false, the first block failure — or a standing
+  // quarantined hole — fails the query (the `?degrade=0` switch).
+  bool degrade = true;
+  // Retry deadline: the call never spends more than this much wall time in
+  // backoff, no matter how many blocks fail. 0 means unlimited.
+  uint64_t deadline_ns = 0;
 };
 
 struct BlockInfo {
@@ -123,10 +129,8 @@ struct ArchiveQueryResult {
   uint32_t blocks_pruned = 0;
   uint32_t blocks_queried = 0;
   // Of blocks_queried, how many were answered from the engine's command
-  // cache. Cached blocks echo the cost snapshot of the execution that
-  // produced them (see LogGrepEngine), so a reader of `locator` needs this
-  // to tell replayed cost from fresh work: blocks_from_cache ==
-  // blocks_queried means no fresh decompression happened at all.
+  // cache. Cached blocks add nothing to `locator` (a replay decodes
+  // nothing): blocks_from_cache == blocks_queried means no fresh work ran.
   uint32_t blocks_from_cache = 0;
   // Blocks the query could not serve (quarantined before the query, or
   // failed during it). Empty means the result is complete; otherwise `hits`
@@ -158,8 +162,8 @@ class LogArchive {
   // assigned contiguously; a caller backfilling a shard at a known global
   // offset may pre-set it to any value >= the current end of the archive
   // (the line space is allowed to be sparse). `hook` may abort at each kill
-  // point (fault injection); pass nullptr in production. Not thread-safe —
-  // callers serialize commits.
+  // point (fault injection); pass nullptr in production. Commits must be
+  // serialized by the caller; queries may run concurrently with them.
   Status CommitCompressedBlock(std::string_view box_bytes, BlockInfo block,
                                const CommitHook& hook = nullptr);
 
@@ -172,20 +176,21 @@ class LogArchive {
   // records `entry` (forced tombstoned, seq remapped) in quarantine.json,
   // then persists the manifest. The sidecar lands before the manifest so a
   // torn write can never leave the manifest naming an unexplained hole.
-  // Not thread-safe — callers serialize commits.
+  // Commits must be serialized by the caller.
   Status CommitTombstonedBlock(BlockInfo block, QuarantineEntry entry);
 
   // Runs a query command over all (non-pruned) blocks. Warm blocks are
   // served from the shared BoxCache: no file read, no metadata parse, and
   // only the capsules the cache lacks are decompressed.
-  Result<ArchiveQueryResult> Query(std::string_view command);
+  Result<ArchiveQueryResult> Query(std::string_view command,
+                                   const QueryOptions& options = {});
 
   // Same result, with non-pruned blocks queried concurrently on
-  // `num_threads` workers (each with its own engine but all sharing the
-  // archive's BoxCache; §6 notes queries parallelize trivially at block
-  // granularity).
+  // `num_threads` workers (all sharing the archive's engine and BoxCache;
+  // §6 notes queries parallelize trivially at block granularity).
   Result<ArchiveQueryResult> ParallelQuery(std::string_view command,
-                                           size_t num_threads);
+                                           size_t num_threads,
+                                           const QueryOptions& options = {});
 
   // Query with a full decision record: `explain` receives one BlockExplain
   // per block — archive-pruned blocks carry block_pruned plus a reason
@@ -194,23 +199,28 @@ class LogArchive {
   // (see src/query/explain.h). Runs serially and bypasses the command
   // cache, so the record always describes a real execution.
   Result<ArchiveQueryResult> Explain(std::string_view command,
-                                     QueryExplain* explain);
+                                     QueryExplain* explain,
+                                     const QueryOptions& options = {});
 
+  // Thread-safety: Query, ParallelQuery, Explain, quarantine(),
+  // ReloadQuarantine() and the total_*() sums may run concurrently with each
+  // other and with one committer. A query holds the archive's reader lock
+  // only while it prunes and snapshots the blocks it will visit; block files
+  // are immutable once committed, so the scan itself runs unlocked. A commit
+  // takes the writer lock only to publish its manifest entry, and a failing
+  // query takes it only to quarantine the block.
+
+  // The block list. Not synchronized: use only where no commit can run
+  // concurrently (single-threaded tools, or the committer itself).
   const std::vector<BlockInfo>& blocks() const { return blocks_; }
   // The shared cache (null when box_cache_budget_bytes == 0).
   BoxCache* box_cache() const { return box_cache_.get(); }
-  // Blocks currently excluded from queries (loaded from quarantine.json at
-  // Open, grown by failed queries, shrunk by `loggrep_cli repair`).
-  const QuarantineSet& quarantine() const { return quarantine_; }
+  // Snapshot of the blocks currently excluded from queries (loaded from
+  // quarantine.json at Open, grown by failed queries, shrunk by
+  // `loggrep_cli repair`).
+  QuarantineSet quarantine() const;
   // Re-reads quarantine.json (picks up an external repair without reopening).
   Status ReloadQuarantine();
-  // Per-query knobs the serving layer adjusts between requests: the retry
-  // deadline feeding each query's RetryBudget, and whether block failures
-  // degrade (206/PartialReport) or abort (the `?degrade=0` switch). NOT
-  // thread-safe — callers serialize with queries, as loggrepd does under
-  // its per-archive lock.
-  void set_query_deadline_ns(uint64_t ns) { options_.query_deadline_ns = ns; }
-  void set_degraded_queries(bool on) { options_.degraded_queries = on; }
   // The storage backend in effect (never null).
   StorageEnv* storage_env() const { return EnvOrDefault(options_.env); }
   const std::string& dir() const { return dir_; }
@@ -226,7 +236,9 @@ class LogArchive {
 
   std::string BlockPath(uint32_t seq) const;
   std::string ManifestPath() const;
-  std::string SerializeManifest() const;
+  // Serializes blocks_, plus `pending` as one more trailing entry when
+  // non-null (a commit persists its entry before publishing it).
+  std::string SerializeManifest(const BlockInfo* pending = nullptr) const;
   Status WriteManifest() const;
   // Retrying block read through the env (the query-path loader body).
   Result<std::string> LoadBlockBytes(uint32_t seq,
@@ -235,18 +247,33 @@ class LogArchive {
   // deadline budget: ingest durability beats latency).
   Status RetryStorage(const char* op_name,
                       const std::function<Status()>& op) const;
+  // The part of a BlockInfo a query needs after the snapshot.
+  struct BlockRef {
+    uint32_t seq = 0;
+    uint64_t first_line = 0;
+    uint64_t line_count = 0;
+  };
+  // Shared body of Query / ParallelQuery / Explain. num_threads <= 1 runs
+  // serially; `explain` non-null records the decision tree (serial only).
+  Result<ArchiveQueryResult> QueryImpl(std::string_view command,
+                                       const QueryOptions& options,
+                                       size_t num_threads,
+                                       QueryExplain* explain);
   // Records `cause` in the quarantine set and persists the sidecar (best
   // effort: a failing sidecar write must not fail the query on top of the
   // block failure; it is counted in "storage.quarantine.persist_failures").
-  void QuarantineBlock(const BlockInfo& block, const Status& cause);
+  // Returns false when a concurrent query already quarantined the block.
+  // Takes the writer lock.
+  bool QuarantineBlock(const BlockRef& block, const Status& cause);
   // Appends the failure of `block` to `report` (and quarantines it when the
   // failure is fresh). Returns false when the failure must abort the query
   // instead (degraded queries disabled, or a query-syntax error).
-  bool DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                        PartialReport* report);
+  bool DegradeOnFailure(const BlockRef& block, const Status& cause,
+                        bool degrade, PartialReport* report);
   // When `block` is quarantined, appends the standing hole to `report` and
   // returns true (the caller skips the block without touching storage).
-  bool SkipIfQuarantined(const BlockInfo& block, PartialReport* report) const;
+  // Caller holds the reader lock.
+  bool SkipIfQuarantined(const BlockRef& block, PartialReport* report) const;
   // Removes block-*.lgc files whose seq has no manifest entry (droppings of
   // commits that died after the block rename but before the manifest swap).
   void SweepUnreferencedBlocks() const;
@@ -256,20 +283,23 @@ class LogArchive {
   // Prunes blocks against `required`; appends survivors to `to_query` and
   // counts the rest. Returns elapsed nanoseconds. When `explain` is
   // non-null, appends one BlockExplain per block (pruned ones annotated
-  // with the keyword/filter that rejected them).
+  // with the keyword/filter that rejected them). Caller holds the reader
+  // lock.
   uint64_t PruneBlocks(const std::vector<std::string>& required,
-                       std::vector<const BlockInfo*>* to_query,
-                       uint32_t* pruned, QueryExplain* explain = nullptr) const;
+                       std::vector<BlockRef>* to_query, uint32_t* pruned,
+                       QueryExplain* explain) const;
 
   std::string dir_;
   ArchiveOptions options_;
   uint64_t cache_namespace_ = 0;
   // Declared before engine_: the engine borrows the cache pointer.
   std::shared_ptr<BoxCache> box_cache_;
-  LogGrepEngine engine_;
+  // Thread-safe (its command cache and the BoxCache are synchronized).
+  // Heap-held, like mu_, so the archive stays movable.
+  std::unique_ptr<LogGrepEngine> engine_;
+  // Reader/writer lock over blocks_ and quarantine_ (see "Thread-safety").
+  std::unique_ptr<std::shared_mutex> mu_;
   std::vector<BlockInfo> blocks_;
-  // Mutated only on the calling thread (ParallelQuery quarantines during
-  // the serial collection phase, never from workers).
   QuarantineSet quarantine_;
 };
 

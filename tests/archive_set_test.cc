@@ -706,11 +706,9 @@ TEST(ArchiveSetTest, BrokenShardDegradesFederationTo206) {
   EXPECT_NE(result->RenderPartial().find("unavailable"), std::string::npos);
 
   // Strict mode: the same failure aborts instead of degrading.
-  ArchiveSetOptions strict = options;
-  strict.archive.degraded_queries = false;
-  auto strict_set = ArchiveSet::Open(root, strict);
-  ASSERT_TRUE(strict_set.ok());
-  EXPECT_FALSE((*strict_set)->Query("shared-token", {}).ok());
+  QueryOptions strict;
+  strict.degrade = false;
+  EXPECT_FALSE((*degraded)->Query("shared-token", {}, strict).ok());
 }
 
 TEST(ArchiveSetTest, RepairAllReinstatesAcrossShards) {

@@ -601,14 +601,15 @@ TEST_F(ChaosTest, QueryDeadlineBoundsRetryStormsAndDegradesInsteadOfHanging) {
   opts.env = &fault;
   opts.metrics = &metrics;
   opts.retry.max_attempts = 100;
-  opts.query_deadline_ns = 50'000'000;  // 50 ms of (virtual) backoff budget
   opts.box_cache_budget_bytes = 0;
+  QueryOptions query_options;
+  query_options.deadline_ns = 50'000'000;  // 50 ms of (virtual) backoff budget
 
   Result<LogArchive> archive = LogArchive::Open(dir_, opts);
   ASSERT_TRUE(archive.ok()) << archive.status().ToString();
 
   const std::string anchor = AnchorKeyword(w, 0);
-  Result<ArchiveQueryResult> r = archive->Query(anchor);
+  Result<ArchiveQueryResult> r = archive->Query(anchor, query_options);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->partial.partial());
   EXPECT_TRUE(r->hits.empty());  // every block is sick

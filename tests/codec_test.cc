@@ -380,7 +380,7 @@ TEST(RangeCoderTest, MixedModelsAndDirectBits) {
   BitProb tree_dec[1 << 5];
   std::fill(std::begin(tree_dec), std::end(tree_dec), kProbInit);
   for (uint32_t s : symbols) {
-    ASSERT_EQ(DecodeBitTree(dec, tree_dec, 5), s);
+    ASSERT_EQ(DecodeBitTree<5>(dec, tree_dec), s);
     ASSERT_EQ(dec.DecodeDirectBits(5), s ^ 0x15);
   }
 }

@@ -202,9 +202,10 @@ TEST(EngineTest, QueryCacheIsPerBox) {
   EXPECT_EQ(a2->hits.size(), 1u);
 }
 
-TEST(EngineTest, CachedResultReportsOriginalCost) {
-  // Regression: a command-cache hit used to report an all-zero LocatorStats;
-  // it must echo the snapshot of the execution that produced the result.
+TEST(EngineTest, CachedResultReportsNoFreshWork) {
+  // Regression: a command-cache hit used to replay the stage costs of the
+  // execution that produced it, so access logs and /metrics charged decode
+  // work that never ran. A replay decodes nothing and must report nothing.
   LogGrepEngine engine;
   const std::string text =
       LogGenerator(*FindDataset("Log A")).Generate(24 * 1024);
@@ -213,12 +214,22 @@ TEST(EngineTest, CachedResultReportsOriginalCost) {
   ASSERT_TRUE(cold.ok());
   ASSERT_FALSE(cold->from_cache);
   ASSERT_GT(cold->locator.capsules_decompressed, 0u);
+  ASSERT_GT(cold->locator.decompress_nanos, 0u);
   auto warm = engine.Query(box, "ERROR");
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE(warm->from_cache);
-  EXPECT_EQ(warm->locator.capsules_decompressed,
-            cold->locator.capsules_decompressed);
-  EXPECT_EQ(warm->locator.bytes_decompressed, cold->locator.bytes_decompressed);
+  EXPECT_EQ(warm->hits, cold->hits);
+  const LocatorStats& s = warm->locator;
+  EXPECT_EQ(s.capsules_decompressed, 0u);
+  EXPECT_EQ(s.bytes_decompressed, 0u);
+  EXPECT_EQ(s.cache_hits, 0u);
+  EXPECT_EQ(s.cache_misses, 0u);
+  EXPECT_EQ(s.prune_nanos, 0u);
+  EXPECT_EQ(s.open_nanos, 0u);
+  EXPECT_EQ(s.stamp_filter_nanos, 0u);
+  EXPECT_EQ(s.decompress_nanos, 0u);
+  EXPECT_EQ(s.scan_nanos, 0u);
+  EXPECT_EQ(s.reconstruct_nanos, 0u);
 }
 
 TEST(EngineTest, BoxCacheMakesSecondCommandCheaper) {

@@ -558,19 +558,6 @@ TEST(QueryCacheTest, KeepsFreshestEntryEvenWhenOverBudget) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(QueryCacheTest, StoresLocatorSnapshot) {
-  QueryCache cache;
-  CachedQuery entry;
-  entry.hits = {{7, "hit"}};
-  entry.locator.capsules_decompressed = 5;
-  entry.locator.bytes_decompressed = 1234;
-  cache.Insert("q", entry);
-  auto hit = cache.Lookup("q");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->locator.capsules_decompressed, 5u);
-  EXPECT_EQ(hit->locator.bytes_decompressed, 1234u);
-}
-
 TEST(QueryCacheTest, SixtyFourBitLineNumbersSurviveRoundTrip) {
   QueryCache cache;
   const uint64_t line = (5ull << 32) + 17;  // > UINT32_MAX

@@ -270,8 +270,8 @@ TEST_F(ServerTest, ArchiveStaysWarmAcrossConnections) {
   }
 
   // Warm: a *different* connection reuses the process-wide archive handle —
-  // every block answers from the command cache (stats echo the cold run's
-  // cost snapshot; blocks_from_cache is the honest "no fresh work" signal).
+  // every block answers from the command cache, which decodes nothing: the
+  // stats report zero decode work and blocks_from_cache says why.
   DaemonClient second("127.0.0.1", *port);
   Result<RemoteQueryResult> warm = second.Query("arch", command);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
@@ -279,7 +279,14 @@ TEST_F(ServerTest, ArchiveStaysWarmAcrossConnections) {
   EXPECT_GT(warm->blocks_queried, 0u);
   EXPECT_EQ(warm->blocks_from_cache, warm->blocks_queried)
       << "a repeat of the same command must be fully cache-served";
-  EXPECT_LT(warm->bytes_decompressed, cold_bytes + 1);
+  EXPECT_EQ(warm->bytes_decompressed, 0u);
+  for (const char* zero :
+       {"\"cache_misses\":0,", "\"capsules_decompressed\":0,",
+        "\"decompress_ns\":0,", "\"open_ns\":0,", "\"scan_ns\":0,",
+        "\"reconstruct_ns\":0,"}) {
+    EXPECT_NE(warm->body.find(zero), std::string::npos)
+        << zero << " missing in " << warm->body;
+  }
   ExpectHitsEqual(OracleHits(command), warm->hits, command + " [warm]");
 }
 
