@@ -8,17 +8,21 @@
 //      opened caches: every command pays decompression;
 //   2. warm pass  — N clients (threads, one keep-alive connection each) run
 //      the same suite closed-loop for R rounds: everything answers from the
-//      process-wide command/box caches.
+//      process-wide command/box caches. R defaults to enough rounds for
+//      kMinWarmPerClient requests per client, so the warm p99 rests on
+//      thousands of samples, not a handful.
 // Every response is checked hit-for-hit against a serial oracle computed
 // before the daemon starts.
 //
 // Prints one row per phase (QPS, p50/p99 ms) and writes BENCH_daemon.json
 // next to the binary's cwd. Exits non-zero unless (a) zero mismatches and
 // (b) warm p50 strictly below cold p50 — the warm pool is the product claim,
-// so a regression here must fail CI, not just print a slower number.
+// so a regression here must fail CI, not just print a slower number. A phase
+// whose p99 rests on fewer than kMinP99Samples samples gets a warning.
 //
 // Scale knobs: LOGGREP_BENCH_CLIENTS (default 8), LOGGREP_BENCH_ROUNDS
-// (default 6), LOGGREP_BENCH_KB via bench_util for the corpus size.
+// (default: ceil(kMinWarmPerClient / suite size)), LOGGREP_BENCH_KB via
+// bench_util for the corpus size.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -45,6 +49,8 @@ namespace {
 
 constexpr size_t kBlocks = 4;
 constexpr uint64_t kSeed = 271828;
+constexpr size_t kMinWarmPerClient = 1000;
+constexpr size_t kMinP99Samples = 100;
 
 size_t EnvSize(const char* name, size_t fallback) {
   const char* value = std::getenv(name);
@@ -77,7 +83,6 @@ struct PhaseResult {
 
 int Run() {
   const size_t clients = EnvSize("LOGGREP_BENCH_CLIENTS", 8);
-  const size_t rounds = EnvSize("LOGGREP_BENCH_ROUNDS", 6);
 
   const std::string root =
       (std::filesystem::temp_directory_path() /
@@ -108,6 +113,10 @@ int Run() {
     }
   }
   const std::vector<std::string> commands = QuerySuiteForDataset(spec.name);
+  const size_t rounds = EnvSize(
+      "LOGGREP_BENCH_ROUNDS",
+      (kMinWarmPerClient + commands.size() - 1) /
+          std::max<size_t>(1, commands.size()));
 
   // Serial oracle before the daemon exists.
   std::map<std::string, QueryHits> oracle;
@@ -214,6 +223,13 @@ int Run() {
         {"warm", warm}}) {
     std::printf("%-6s %8zu %10.1f %10.3f %10.3f %6zu\n", name, phase.requests,
                 phase.qps, phase.p50_ms, phase.p99_ms, phase.mismatches);
+    if (phase.requests < kMinP99Samples) {
+      std::fflush(stdout);
+      std::fprintf(stderr,
+                   "WARNING: %s p99 rests on %zu samples (< %zu); treat it "
+                   "as an anecdote\n",
+                   name, phase.requests, kMinP99Samples);
+    }
   }
 
   {
@@ -224,11 +240,12 @@ int Run() {
         "{\"clients\":%zu,\"rounds\":%zu,\"commands\":%zu,"
         "\"cold\":{\"requests\":%zu,\"qps\":%.1f,\"p50_ms\":%.3f,"
         "\"p99_ms\":%.3f},"
-        "\"warm\":{\"requests\":%zu,\"qps\":%.1f,\"p50_ms\":%.3f,"
-        "\"p99_ms\":%.3f},"
+        "\"warm\":{\"requests\":%zu,\"samples\":%zu,\"qps\":%.1f,"
+        "\"p50_ms\":%.3f,\"p99_ms\":%.3f},"
         "\"mismatches\":%zu,\"warm_faster\":%s}\n",
         clients, rounds, commands.size(), cold.requests, cold.qps, cold.p50_ms,
-        cold.p99_ms, warm.requests, warm.qps, warm.p50_ms, warm.p99_ms,
+        cold.p99_ms, warm.requests, warm.requests, warm.qps, warm.p50_ms,
+        warm.p99_ms,
         cold.mismatches + warm.mismatches,
         warm.p50_ms < cold.p50_ms ? "true" : "false");
     out << buf;

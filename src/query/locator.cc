@@ -379,10 +379,30 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
     rows = rows.UnionWith(RowSet::Of(group.row_count, std::move(hits)));
   }
 
-  const std::vector<uint32_t>& present = PresentRows(group_idx, slot);
-  if (present.empty()) {
+  // CapsuleBox::Open validates outlier_rows as strictly increasing and below
+  // row_count, so the present-row count is exact. The present -> group row
+  // mapping is built only once some present row is known to hit, and never
+  // without outliers (it is the identity then).
+  const uint32_t present_count =
+      group.row_count - static_cast<uint32_t>(rv.outlier_rows.size());
+  if (present_count == 0) {
     return rows;
   }
+  const bool identity = rv.outlier_rows.empty();
+  const auto to_group_rows = [&](std::vector<uint32_t> present_hits) {
+    // A corrupt column may decode to more cells than there are present rows;
+    // cells past the end belong to no row.
+    present_hits.erase(std::lower_bound(present_hits.begin(),
+                                        present_hits.end(), present_count),
+                       present_hits.end());
+    if (!identity) {
+      const std::vector<uint32_t>& present = PresentRows(group_idx, slot);
+      for (uint32_t& p : present_hits) {
+        p = present[p];
+      }
+    }
+    return RowSet::Of(group.row_count, std::move(present_hits));
+  };
 
   if (HasWildcards(keyword)) {
     // Wildcard fallback: materialize full values of present rows.
@@ -398,7 +418,7 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
     }
     std::vector<uint32_t> hits;
     std::vector<std::string_view> subvalues(num_subvars);
-    for (uint32_t p = 0; p < present.size(); ++p) {
+    for (uint32_t p = 0; p < present_count; ++p) {
       for (uint32_t sv = 0; sv < num_subvars; ++sv) {
         if (box_.meta().padded) {
           subvalues[sv] =
@@ -408,10 +428,10 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
         }
       }
       if (KeywordHitsToken(keyword, rv.pattern.Render(subvalues))) {
-        hits.push_back(present[p]);
+        hits.push_back(p);
       }
     }
-    return rows.UnionWith(RowSet::Of(group.row_count, std::move(hits)));
+    return rows.UnionWith(to_group_rows(std::move(hits)));
   }
 
   const std::vector<PossibleMatch> matches =
@@ -434,19 +454,16 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
           explain_->Record(capsule, CapsuleFate::kPatternTrivial);
         }
       }
-      rows = rows.UnionWith(RowSet::Of(group.row_count, present));
+      rows = rows.UnionWith(
+          identity ? RowSet::All(group.row_count)
+                   : RowSet::Of(group.row_count, PresentRows(group_idx, slot)));
       break;
     }
     std::vector<uint32_t> present_hits = EvaluateConstraints(rv, match);
     if (present_hits.empty()) {
       continue;
     }
-    std::vector<uint32_t> group_rows;
-    group_rows.reserve(present_hits.size());
-    for (uint32_t p : present_hits) {
-      group_rows.push_back(present[p]);
-    }
-    rows = rows.UnionWith(RowSet::Of(group.row_count, std::move(group_rows)));
+    rows = rows.UnionWith(to_group_rows(std::move(present_hits)));
   }
   return rows;
 }
@@ -494,7 +511,7 @@ RowSet BoxQuerier::MatchInNominal(const GroupMeta& group,
     // The stamp-filter counter and explain fates keep the original order:
     // a section pruned by its runtime pattern is never charged to the stamp.
     if (!wild) {
-      if (MatchKeywordOnPattern(pm.pattern, keyword).empty()) {
+      if (!PatternAdmitsKeyword(pm.pattern, keyword)) {
         note_prune(CapsuleFate::kPatternMiss);
         candidate = false;
       } else if (!stamp_admits) {

@@ -176,4 +176,23 @@ std::vector<PossibleMatch> MatchKeywordOnPattern(const RuntimePattern& pattern,
   return out;
 }
 
+bool PatternAdmitsKeyword(const RuntimePattern& pattern,
+                          std::string_view keyword) {
+  if (keyword.empty()) {
+    return true;
+  }
+  const Elements& elems = pattern.elements();
+  if (elems.size() == 1 && !elems[0].is_subvar) {
+    return elems[0].constant.find(keyword) != std::string::npos;
+  }
+  std::string constants;
+  for (const PatternElement& e : elems) {
+    if (e.is_subvar) {
+      return true;  // the keyword may lie inside that sub-variable's value
+    }
+    constants += e.constant;
+  }
+  return constants.find(keyword) != std::string::npos;
+}
+
 }  // namespace loggrep

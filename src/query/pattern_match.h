@@ -40,6 +40,13 @@ struct PossibleMatch {
 std::vector<PossibleMatch> MatchKeywordOnPattern(const RuntimePattern& pattern,
                                                  std::string_view keyword);
 
+// Same answer as !MatchKeywordOnPattern(pattern, keyword).empty(), without
+// enumerating the matches: an empty keyword and any pattern with a
+// sub-variable admit the keyword; a constants-only pattern admits it iff the
+// concatenated constants contain it.
+bool PatternAdmitsKeyword(const RuntimePattern& pattern,
+                          std::string_view keyword);
+
 }  // namespace loggrep
 
 #endif  // SRC_QUERY_PATTERN_MATCH_H_

@@ -598,13 +598,22 @@ Result<size_t> ArchiveSet::RollShardLocked(const std::string& tenant,
 Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
                                          std::string_view text,
                                          uint64_t ts_ns) {
+  const uint64_t lines = CountLines(text);
+  if (lines == 0) {
+    return InvalidArgument("append of empty text");
+  }
+  // Summary and compression depend on the text alone, so they run before the
+  // set lock: queries and appends to other tenants never wait behind the
+  // codec. A local engine, as in LogIngestor: CompressBlock shares nothing
+  // across blocks.
+  BlockInfo block =
+      BuildBlockSummary(text, options_.archive.bloom_bits_per_shingle);
+  const std::string box =
+      LogGrepEngine(options_.archive.engine).CompressBlock(text);
+
   std::lock_guard<std::mutex> lock(mu_);
   if (ts_ns == 0) {
     ts_ns = storage_env()->NowNanos();
-  }
-  uint64_t lines = CountLines(text);
-  if (lines == 0) {
-    return InvalidArgument("append of empty text");
   }
 
   std::string tenant_key(tenant);
@@ -665,7 +674,8 @@ Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
   receipt.shard_id = info.id;
   receipt.first_global_line = info.line_base + (*arch)->total_lines();
   receipt.lines = lines;
-  LOGGREP_RETURN_IF_ERROR((*arch)->AppendBlock(text));
+  LOGGREP_RETURN_IF_ERROR(
+      (*arch)->CommitCompressedBlock(box, std::move(block)));
   info.lines = (*arch)->total_lines();
   info.raw_bytes = (*arch)->total_raw_bytes();
   info.stored_bytes = (*arch)->total_stored_bytes();

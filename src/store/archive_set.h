@@ -62,14 +62,16 @@
 //
 // Thread-safety: every public method but set_commit_hook is safe to call
 // concurrently. Writers (Append, retention, repair, the compaction commit)
-// serialize on one internal mutex. A query holds that mutex only to
-// snapshot its visit list — parse, shard pruning, lazy shard opens, and a
-// copy of each visited shard's ShardInfo plus a shared handle — then
-// scatters without it, so queries run in parallel with each other and with
-// writers. Each shard archive guards itself (LogArchive: shared reads,
-// exclusive commits). A shard that retention or compaction retires while a
-// query still holds its handle keeps its directory until that query lets
-// go; the snapshot makes every query see a shard set that was current at
+// serialize on one internal mutex; Append summarizes and compresses its
+// block before taking it and holds it only for the roll decision, the
+// range-widening manifest write and the block commit. A query holds that
+// mutex only to snapshot its visit list — parse, shard pruning, lazy shard
+// opens, and a copy of each visited shard's ShardInfo plus a shared handle
+// — then scatters without it, so queries run in parallel with each other
+// and with writers. Each shard archive guards itself (LogArchive: shared
+// reads, exclusive commits). A shard that retention or compaction retires
+// while a query still holds its handle keeps its directory until that query
+// lets go; the snapshot makes every query see a shard set that was current at
 // one instant (all of a compaction's sources, or its merged shard — never
 // both, never neither).
 #ifndef SRC_STORE_ARCHIVE_SET_H_

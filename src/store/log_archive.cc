@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -58,7 +57,7 @@ void AddTokenShingles(const std::string_view token, BloomFilter& bloom) {
 // is non-null and the block is rejected, it receives which filter fired
 // (for archive-level explain records).
 bool BlockMayContainKeyword(const BlockInfo& block, std::string_view keyword,
-                            std::string* reason = nullptr) {
+                            std::string* reason) {
   if (HasWildcards(keyword)) {
     if (!StampAdmitsKeyword(block.token_stamp, keyword)) {
       if (reason != nullptr) {
@@ -90,48 +89,43 @@ bool BlockMayContainKeyword(const BlockInfo& block, std::string_view keyword,
   return true;
 }
 
-void CollectRequired(const QueryExpr& expr, std::vector<std::string>* out) {
-  switch (expr.kind) {
-    case QueryExpr::Kind::kTerm:
-      out->insert(out->end(), expr.term.keywords.begin(),
-                  expr.term.keywords.end());
-      return;
-    case QueryExpr::Kind::kAnd: {
-      CollectRequired(*expr.left, out);
-      CollectRequired(*expr.right, out);
-      return;
-    }
-    case QueryExpr::Kind::kOr: {
-      // A keyword is required only when both branches require it.
-      std::vector<std::string> l;
-      std::vector<std::string> r;
-      CollectRequired(*expr.left, &l);
-      CollectRequired(*expr.right, &r);
-      const std::set<std::string> rset(r.begin(), r.end());
-      for (std::string& kw : l) {
-        if (rset.count(kw) > 0) {
-          out->push_back(std::move(kw));
-        }
-      }
-      return;
-    }
-    case QueryExpr::Kind::kNot:
-      // Only the positive side constrains matching entries.
-      if (expr.left != nullptr) {
-        CollectRequired(*expr.left, out);
-      }
-      return;
-  }
-}
-
 }  // namespace
 
-std::vector<std::string> RequiredKeywords(const QueryExpr& expr) {
-  std::vector<std::string> out;
-  CollectRequired(expr, &out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+bool BlockMayMatch(const BlockInfo& block, const QueryExpr& expr,
+                   std::string* reason) {
+  switch (expr.kind) {
+    case QueryExpr::Kind::kTerm:
+      for (const std::string& kw : expr.term.keywords) {
+        if (!BlockMayContainKeyword(block, kw, reason)) {
+          return false;
+        }
+      }
+      return true;
+    case QueryExpr::Kind::kAnd:
+      return BlockMayMatch(block, *expr.left, reason) &&
+             BlockMayMatch(block, *expr.right, reason);
+    case QueryExpr::Kind::kOr: {
+      // Pruned only when neither branch may match; the reason then names the
+      // failing keyword of both.
+      std::string left_reason;
+      std::string right_reason;
+      std::string* const lr = reason != nullptr ? &left_reason : nullptr;
+      std::string* const rr = reason != nullptr ? &right_reason : nullptr;
+      if (BlockMayMatch(block, *expr.left, lr) ||
+          BlockMayMatch(block, *expr.right, rr)) {
+        return true;
+      }
+      if (reason != nullptr) {
+        *reason = left_reason + "; " + right_reason;
+      }
+      return false;
+    }
+    case QueryExpr::Kind::kNot:
+      // left AND NOT right: only the positive side constrains matching
+      // entries, and a leading NOT (no left side) may match anything.
+      return expr.left == nullptr || BlockMayMatch(block, *expr.left, reason);
+  }
+  return true;
 }
 
 const char* CommitKillPointName(CommitKillPoint point) {
@@ -706,22 +700,16 @@ bool LogArchive::DegradeOnFailure(const BlockRef& block, const Status& cause,
   return true;
 }
 
-uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
+uint64_t LogArchive::PruneBlocks(const QueryExpr& expr,
                                  std::vector<BlockRef>* to_query,
                                  uint32_t* pruned,
                                  QueryExplain* explain) const {
   const TraceSpan span("archive.prune", "query", "blocks", blocks_.size());
   const WallTimer timer;
   for (const BlockInfo& block : blocks_) {
-    bool drop = false;
     std::string reason;
-    for (const std::string& kw : required) {
-      if (!BlockMayContainKeyword(block, kw,
-                                  explain != nullptr ? &reason : nullptr)) {
-        drop = true;
-        break;
-      }
-    }
+    const bool drop = !BlockMayMatch(block, expr,
+                                     explain != nullptr ? &reason : nullptr);
     if (explain != nullptr) {
       BlockExplain be;
       be.seq = block.seq;
@@ -768,7 +756,6 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
   if (!expr.ok()) {
     return expr.status();
   }
-  const std::vector<std::string> required = RequiredKeywords(**expr);
 
   // Snapshot under the reader lock: prune, then set known-sick blocks aside
   // (a standing hole each, no retry storm). Everything after runs unlocked.
@@ -778,7 +765,7 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
   {
     const std::shared_lock<std::shared_mutex> lock(*mu_);
     result.locator.prune_nanos =
-        PruneBlocks(required, &to_query, &result.blocks_pruned, explain);
+        PruneBlocks(**expr, &to_query, &result.blocks_pruned, explain);
     submitted.reserve(to_query.size());
     for (const BlockRef& block : to_query) {
       if (!SkipIfQuarantined(block, &result.partial)) {

@@ -280,12 +280,12 @@ class LogArchive {
 
   // Identity of block `seq` inside the shared cache.
   BoxKey KeyForBlock(uint32_t seq) const;
-  // Prunes blocks against `required`; appends survivors to `to_query` and
+  // Prunes blocks with BlockMayMatch; appends survivors to `to_query` and
   // counts the rest. Returns elapsed nanoseconds. When `explain` is
   // non-null, appends one BlockExplain per block (pruned ones annotated
   // with the keyword/filter that rejected them). Caller holds the reader
   // lock.
-  uint64_t PruneBlocks(const std::vector<std::string>& required,
+  uint64_t PruneBlocks(const QueryExpr& expr,
                        std::vector<BlockRef>* to_query, uint32_t* pruned,
                        QueryExplain* explain) const;
 
@@ -303,9 +303,16 @@ class LogArchive {
   QuarantineSet quarantine_;
 };
 
-// Keywords every matching entry MUST contain, extracted from a parsed query
-// (used for block pruning; exposed for tests).
-std::vector<std::string> RequiredKeywords(const QueryExpr& expr);
+// Sound block pruning on a whole parsed query: false only when no line of
+// `block` can match `expr`. A term may match when every keyword passes the
+// block's token stamp and shingle Bloom filter; AND needs both sides, OR
+// either side, and `left AND NOT right` only `left` (a leading NOT always
+// may match). Stamp and Bloom checks err only toward "may contain", so a
+// pruned block never holds a hit. When `reason` is non-null and the block
+// is pruned, it receives the failing keyword and filter of every branch
+// that had to fail.
+bool BlockMayMatch(const BlockInfo& block, const QueryExpr& expr,
+                   std::string* reason = nullptr);
 
 }  // namespace loggrep
 

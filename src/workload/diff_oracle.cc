@@ -79,13 +79,24 @@ std::string WithWildcard(Rng& rng, std::string token) {
   }
 }
 
+// Random content absent from the corpus (a guaranteed miss).
+std::string MissWord(Rng& rng) {
+  std::string miss = "zqxv";
+  for (int i = 0; i < 8; ++i) {
+    miss += static_cast<char>('a' + rng.NextBelow(26));
+  }
+  return miss;
+}
+
 // One seeded random query command over the reference lines. Covers single
 // keywords, keyword fragments, wildcards, multi-word search strings, AND /
-// OR / NOT combinations, quoted operator words, and guaranteed misses.
+// OR / NOT combinations (disjunctions with one or both branches absent, so
+// block pruning sees both outcomes), a leading NOT, quoted operator words,
+// and guaranteed misses.
 std::string RandomCommand(Rng& rng, const std::vector<std::string>& lines) {
   const std::string a = SampleToken(rng, lines);
   const std::string b = SampleToken(rng, lines);
-  switch (rng.NextBelow(8)) {
+  switch (rng.NextBelow(11)) {
     case 0:
       return AsSearchWord(a);
     case 1: {  // substring fragment of a token
@@ -103,13 +114,14 @@ std::string RandomCommand(Rng& rng, const std::vector<std::string>& lines) {
       return AsSearchWord(a) + " not " + AsSearchWord(b);
     case 6:  // multi-word search string (one term, several keywords)
       return AsSearchWord(a) + " " + AsSearchWord(b);
-    default: {  // guaranteed miss: random content absent from the corpus
-      std::string miss = "zqxv";
-      for (int i = 0; i < 8; ++i) {
-        miss += static_cast<char>('a' + rng.NextBelow(26));
-      }
-      return miss;
-    }
+    case 7:  // disjunction with one branch absent from the corpus
+      return AsSearchWord(a) + " or " + MissWord(rng);
+    case 8:  // disjunction with both branches absent
+      return MissWord(rng) + " or " + MissWord(rng);
+    case 9:  // leading NOT negates against all entries
+      return "not " + AsSearchWord(a);
+    default:  // guaranteed miss
+      return MissWord(rng);
   }
 }
 

@@ -10,7 +10,9 @@
 //   (b) a query parked mid-scatter on a shard that compaction or retention
 //       then retires still reads that shard's blocks; the directory goes
 //       away when the query lets go of it.
-//   (c) degrade=0 and degrade=1 requests at a quarantined block run at the
+//   (c) an append parked mid-compression does not hold the set lock, so a
+//       query on another tenant still returns.
+//   (d) degrade=0 and degrade=1 requests at a quarantined block run at the
 //       same time through one ArchiveService and get 500 and 206: per-request
 //       options travel by value and never leak between requests.
 #include <algorithm>
@@ -19,12 +21,15 @@
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/codec/codec.h"
+#include "src/common/bytes.h"
 #include "src/query/line_match.h"
 #include "src/query/query_parser.h"
 #include "src/server/archive_service.h"
@@ -397,6 +402,110 @@ TEST(ConcurrentReadTest, ExpiredShardServesInFlightQuery) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_FALSE(report->expired_ids.empty());
   });
+}
+
+// Parks the first compression after Arm() until Release(). The bytes come
+// from the zstd-like codec, whose id this codec shares, so reads decode
+// through the registry as usual.
+class GateCodec : public Codec {
+ public:
+  const char* name() const override { return "gated"; }
+  uint8_t id() const override { return GetZstdCodec().id(); }
+
+  void Arm() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ protected:
+  std::string CompressPayload(std::string_view raw) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;  // park only the first compression
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    // Strip the zstd-like container header; Compress() re-adds it.
+    const std::string blob = GetZstdCodec().Compress(raw);
+    ByteReader in(blob);
+    (void)in.ReadU8();
+    (void)in.ReadVarint();
+    return std::string(*in.ReadBytes(in.remaining()));
+  }
+  Result<std::string> DecompressPayload(std::string_view,
+                                        size_t) const override {
+    return Internal("GateCodec only compresses");
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool parked_ = false;
+  bool released_ = false;
+};
+
+// An append parked mid-compression must not hold the set lock: a query on
+// another tenant still returns, and the parked append then commits.
+TEST(ConcurrentReadTest, QueryDoesNotWaitBehindAppendCompression) {
+  const std::string root = TestDir("append_lock");
+  GateCodec codec;
+  ArchiveSetOptions options;
+  options.archive.engine.codec = &codec;
+  auto created = ArchiveSet::Create(root, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ArchiveSet& set = **created;
+  Appended quiet;
+  auto receipt = set.Append("quiet", MakeBlock("quiet", 0, &quiet.lines));
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  quiet.first_line = receipt->first_global_line;
+
+  codec.Arm();
+  Appended busy;
+  const std::string busy_text = MakeBlock("busy", 1, &busy.lines);
+  Result<AppendReceipt> parked = InvalidArgument("not run");
+  std::thread appender([&] { parked = set.Append("busy", busy_text); });
+  codec.AwaitParked();
+
+  SetQueryPredicate pred;
+  pred.tenant = "quiet";
+  std::future<Result<SetQueryResult>> query = std::async(
+      std::launch::async, [&] { return set.Query("payload", pred); });
+  const bool returned =
+      query.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  codec.Release();  // unblock the appender either way, so the test ends
+  appender.join();
+  EXPECT_TRUE(returned) << "query waited behind a parked append";
+  Result<SetQueryResult> result = query.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto expr = ParseQuery("payload");
+  ASSERT_TRUE(expr.ok());
+  QueryHits want;
+  AddMatches(quiet, **expr, &want);
+  EXPECT_EQ(result->hits, want);
+
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  busy.first_line = parked->first_global_line;
+  AddMatches(busy, **expr, &want);
+  Result<SetQueryResult> all = set.Query("payload");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  std::sort(want.begin(), want.end());
+  QueryHits got = all->hits;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+  std::filesystem::remove_all(root);
 }
 
 TEST(ConcurrentReadTest, PerRequestDegradeIsIsolated) {

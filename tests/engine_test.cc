@@ -2,7 +2,10 @@
 
 #include <string>
 
+#include "src/capsule/capsule_box.h"
+#include "src/common/rng.h"
 #include "src/core/engine.h"
+#include "src/query/line_match.h"
 #include "src/parser/template_miner.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
@@ -148,6 +151,61 @@ TEST(EngineTest, OutlierLinesStillQueryable) {
   ASSERT_EQ(result->hits.size(), 1u);
   EXPECT_EQ(result->hits[0].first, 400u);
   EXPECT_EQ(result->hits[0].second, "!!! PANIC unique stack frame #42 !!!");
+}
+
+// A real variable with outlier rows: present-row hits must map back to the
+// right group rows (the mapping skips the outliers), for trivial, constraint
+// and wildcard matches, in padded and delimited layouts.
+TEST(EngineTest, RealVariableOutliersKeepRowMapping) {
+  Rng rng(11);
+  std::vector<std::string> lines;
+  std::string text;
+  for (int i = 0; i < 300; ++i) {
+    std::string value =
+        "blk_" + std::to_string(10000000 + rng.NextBelow(89999999));
+    if (i == 7 || i == 200) {
+      value = i == 7 ? "TOTALLY-DIFFERENT" : "another-outlier!";
+    }
+    lines.push_back("req serve " + value + " done");
+    text += lines.back() + "\n";
+  }
+  const std::vector<std::string> commands = {
+      "blk_",                    // trivial: every present row
+      lines[8].substr(10, 9),    // a present row after the first outlier
+      lines[250].substr(14, 6),  // a present row after both outliers
+      "blk_1*",                  // wildcard path
+      "outlier",                 // outlier rows only
+      "blk_ or TOTALLY",
+      "not blk_",
+  };
+  for (const bool padded : {true, false}) {
+    EngineOptions options;
+    options.use_fixed = padded;
+    LogGrepEngine engine(options);
+    const std::string box = engine.CompressBlock(text);
+    auto opened = CapsuleBox::Open(box);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    bool has_outliers = false;
+    for (const GroupMeta& group : opened->meta().groups) {
+      for (const VarMeta& var : group.vars) {
+        has_outliers |= var.is_real() && !var.real().outlier_rows.empty();
+      }
+    }
+    ASSERT_TRUE(has_outliers) << "fixture lost its outlier rows";
+    for (const std::string& command : commands) {
+      auto expr = ParseQuery(command);
+      ASSERT_TRUE(expr.ok()) << command;
+      QueryHits want;
+      for (size_t i = 0; i < lines.size(); ++i) {
+        if (LineMatchesQuery(lines[i], **expr)) {
+          want.emplace_back(i, lines[i]);
+        }
+      }
+      auto got = engine.Query(box, command);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->hits, want) << command << " padded=" << padded;
+    }
+  }
 }
 
 TEST(EngineTest, ResultsOrderedByLineNumberAcrossGroups) {

@@ -505,6 +505,29 @@ TEST_F(ArchiveExplainTest, PrunedBlocksCarryReasonsAndInvariantHolds) {
   // The rendered tree names the pruned block and balances its ledger.
   const std::string rendered = explain.Render();
   EXPECT_NE(rendered.find("widget"), std::string::npos);
+
+  // A disjunction prunes a block only when every branch fails, and the
+  // reason names the failing keyword of each branch.
+  QueryExplain or_explain;
+  auto or_result = archive->Explain("widget or gadget", &or_explain);
+  ASSERT_TRUE(or_result.ok()) << or_result.status().ToString();
+  EXPECT_EQ(or_result->blocks_pruned, 1u);
+  EXPECT_EQ(or_result->hits.size(), 200u);
+  for (const BlockExplain& block : or_explain.blocks) {
+    if (block.block_pruned) {
+      EXPECT_NE(block.prune_reason.find("widget"), std::string::npos)
+          << block.prune_reason;
+      EXPECT_NE(block.prune_reason.find("gadget"), std::string::npos)
+          << block.prune_reason;
+    }
+  }
+  EXPECT_TRUE(or_explain.CheckInvariant(&detail)) << detail;
+
+  // One branch present in each block: nothing is pruned.
+  auto both = archive->Query("widget or heartbeat");
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->blocks_pruned, 0u);
+  EXPECT_EQ(both->hits.size(), 400u);
 }
 
 TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {

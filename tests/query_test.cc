@@ -387,6 +387,47 @@ TEST_P(PatternMatchPropertyTest, PossibleMatchesEquivalentToSubstringTest) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PatternMatchPropertyTest,
                          ::testing::Range<uint64_t>(1, 31));
 
+// Property: PatternAdmitsKeyword answers exactly whether MatchKeywordOnPattern
+// finds any possible match, over random patterns (constants-only ones with
+// adjacent constants and the empty pattern included) and keywords.
+TEST(PatternMatchTest, AdmitsKeywordAgreesWithPossibleMatches) {
+  Rng rng(4242);
+  const auto random_string = [&](size_t max_len) {
+    std::string out;
+    const size_t len = rng.NextBelow(max_len + 1);
+    for (size_t i = 0; i < len; ++i) {
+      out += "AB_8"[rng.NextBelow(4)];
+    }
+    return out;
+  };
+  size_t admitted = 0;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<PatternElement> elems;
+    const bool constants_only = rng.NextBool(0.5);
+    uint32_t next_sv = 0;
+    const size_t count = rng.NextBelow(4);
+    for (size_t i = 0; i < count; ++i) {
+      PatternElement e;
+      if (!constants_only && rng.NextBool(0.4)) {
+        e.is_subvar = true;
+        e.subvar = next_sv++;
+      } else {
+        e.constant = random_string(3);
+      }
+      elems.push_back(std::move(e));
+    }
+    const RuntimePattern pattern(std::move(elems));
+    const std::string keyword = random_string(4);
+    const bool expected = !MatchKeywordOnPattern(pattern, keyword).empty();
+    ASSERT_EQ(PatternAdmitsKeyword(pattern, keyword), expected)
+        << "pattern=" << pattern.ToString() << " keyword=" << keyword;
+    ++(expected ? admitted : rejected);
+  }
+  EXPECT_GT(admitted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
 // ---- query parser -------------------------------------------------------------------
 
 TEST(QueryParserTest, SingleTerm) {

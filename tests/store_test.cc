@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "src/common/bloom.h"
+#include "src/common/rng.h"
 #include "src/core/engine.h"
+#include "src/query/line_match.h"
 #include "src/query/query_parser.h"
 #include "src/store/log_archive.h"
 #include "src/workload/datasets.h"
@@ -63,22 +66,144 @@ TEST(BloomFilterTest, EmptyFilterFiltersNothing) {
   EXPECT_TRUE(bloom.MayContain("anything"));
 }
 
-// ---- required keywords ----------------------------------------------------------
+// ---- block pruning ----------------------------------------------------------------
 
-std::vector<std::string> Required(std::string_view command) {
+bool MayMatch(const BlockInfo& block, std::string_view command,
+              std::string* reason = nullptr) {
   auto expr = ParseQuery(command);
   EXPECT_TRUE(expr.ok()) << command;
-  return RequiredKeywords(**expr);
+  return BlockMayMatch(block, **expr, reason);
 }
 
-TEST(RequiredKeywordsTest, AndUnionsOrIntersectsNotDrops) {
-  EXPECT_EQ(Required("alpha and beta"),
-            (std::vector<std::string>{"alpha", "beta"}));
-  EXPECT_EQ(Required("alpha or beta"), (std::vector<std::string>{}));
-  EXPECT_EQ(Required("alpha gamma or beta gamma"),
-            (std::vector<std::string>{"gamma"}));
-  EXPECT_EQ(Required("alpha not beta"), (std::vector<std::string>{"alpha"}));
-  EXPECT_EQ(Required("not beta"), (std::vector<std::string>{}));
+TEST(BlockMayMatchTest, ExpressionTable) {
+  std::string text;
+  for (int i = 0; i < 50; ++i) {
+    text += "alpha service widget-" + std::to_string(i) + " ok\n";
+  }
+  const BlockInfo block = BuildBlockSummary(text, 10);
+  struct Case {
+    const char* command;
+    bool may_match;
+  };
+  const Case cases[] = {
+      {"alpha widget", true},            // multi-keyword term
+      {"alpha zqxvmiss", false},         //   one keyword absent
+      {"alpha and service", true},       // AND
+      {"alpha and zqxvmiss", false},     //   one side absent
+      {"alpha or zqxvmiss", true},       // OR, one branch absent
+      {"zqxvmiss or qwvzmiss", false},   // OR, both branches absent
+      {"alpha not widget", true},        // binary NOT: only the left side
+      {"alpha not zqxvmiss", true},
+      {"zqxvmiss not alpha", false},
+      {"not alpha", true},               // leading NOT always may match
+      {"not zqxvmiss", true},
+      {"wid*et", true},                  // wildcard keyword: stamp only
+      {"WID*", false},                   //   uppercase absent from the stamp
+      {"ok", true},                      // shorter than a shingle
+      {"zq", true},                      //   admitted by the stamp alone
+      {"ZQ", false},                     //   rejected by the stamp
+      // Operators associate left to right.
+      {"zqxvmiss or alpha and ok", true},
+      {"alpha or zqxvmiss and qwvzmiss", false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(MayMatch(block, c.command), c.may_match) << c.command;
+  }
+
+  // A pruned disjunction names the failing keyword of every branch.
+  std::string reason;
+  EXPECT_FALSE(MayMatch(block, "zqxvmiss or qwvzmiss", &reason));
+  EXPECT_NE(reason.find("zqxvmiss"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("qwvzmiss"), std::string::npos) << reason;
+}
+
+// Soundness property: a pruned block never holds a line the reference
+// matcher accepts, over seeded random blocks and random AND / OR / NOT
+// expressions of present, fragment, wildcard and absent keywords.
+TEST(BlockMayMatchTest, PrunedBlocksHoldNoHits) {
+  static const char* const kVocab[] = {
+      "alpha",  "bravo", "charlie", "delta", "echo",   "foxtrot",
+      "golf",   "hotel", "india",   "juliet", "kilo",  "lima",
+      "ERROR",  "WARN",  "id-1234", "k=v9",  "0xbeef", "or",
+  };
+  constexpr size_t kVocabSize = sizeof(kVocab) / sizeof(kVocab[0]);
+  Rng rng(20231);
+  LineMatcher matcher;
+  size_t pruned = 0;
+  size_t checked = 0;
+  for (int b = 0; b < 40; ++b) {
+    // Each block draws from a random third of the vocabulary.
+    std::vector<std::string> words;
+    for (size_t w = 0; w < kVocabSize; ++w) {
+      if (rng.NextBelow(3) == 0) {
+        words.push_back(kVocab[w]);
+      }
+    }
+    if (words.empty()) {
+      words.push_back(kVocab[0]);
+    }
+    std::vector<std::string> lines;
+    std::string text;
+    for (int l = 0; l < 30; ++l) {
+      std::string line;
+      const int tokens = 2 + static_cast<int>(rng.NextBelow(4));
+      for (int t = 0; t < tokens; ++t) {
+        line += (t > 0 ? " " : "") + words[rng.NextBelow(words.size())];
+      }
+      lines.push_back(line);
+      text += line + "\n";
+    }
+    const BlockInfo block = BuildBlockSummary(text, 10);
+
+    const auto keyword = [&]() -> std::string {
+      std::string w = kVocab[rng.NextBelow(kVocabSize)];
+      switch (rng.NextBelow(5)) {
+        case 0: {  // fragment
+          const size_t begin = rng.NextBelow(w.size());
+          w = w.substr(begin, 1 + rng.NextBelow(w.size() - begin));
+          break;
+        }
+        case 1:  // wildcard
+          w = w.substr(0, 1 + rng.NextBelow(w.size())) + "*";
+          break;
+        case 2:  // absent
+          w = "zq" + w;
+          break;
+        default:
+          break;
+      }
+      // Keywords that would parse as operators are quoted.
+      std::string low = w;
+      for (char& c : low) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      const bool op = low == "and" || low == "or" || low == "not";
+      return op ? "\"" + w + "\"" : w;
+    };
+    for (int q = 0; q < 60; ++q) {
+      std::string command = rng.NextBelow(6) == 0 ? "not " : "";
+      command += keyword();
+      const int ops = static_cast<int>(rng.NextBelow(4));
+      for (int o = 0; o < ops; ++o) {
+        static const char* const kOps[] = {" and ", " or ", " not ", " "};
+        command += kOps[rng.NextBelow(4)] + keyword();
+      }
+      auto expr = ParseQuery(command);
+      ASSERT_TRUE(expr.ok()) << command;
+      ++checked;
+      if (BlockMayMatch(block, **expr)) {
+        continue;
+      }
+      ++pruned;
+      for (const std::string& line : lines) {
+        ASSERT_FALSE(matcher.MatchesQuery(line, **expr))
+            << "pruned block holds a hit: command=" << command
+            << " line=" << line;
+      }
+    }
+  }
+  // The property must not hold vacuously.
+  EXPECT_GT(pruned, checked / 10) << pruned << " of " << checked;
 }
 
 // ---- archive ----------------------------------------------------------------------
