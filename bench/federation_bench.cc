@@ -74,8 +74,8 @@ double Percentile(std::vector<double> samples, double p) {
   return samples[index];
 }
 
-// Runs `iters` requests cycling through `commands`, one ParallelQuery per
-// request. Returns false on any query error.
+// Runs `iters` requests cycling through `commands`, one Query on `threads`
+// workers per request. Returns false on any query error.
 bool DriveMode(ArchiveSet* set, const std::vector<std::string>& commands,
                const SetQueryPredicate& pred, size_t iters, size_t threads,
                ModeStats* stats) {
@@ -86,7 +86,7 @@ bool DriveMode(ArchiveSet* set, const std::vector<std::string>& commands,
       const std::string& command = commands[i % commands.size()];
       Result<SetQueryResult> result = Unavailable("not yet run");
       const double seconds = TimeSeconds(
-          [&] { result = set->ParallelQuery(command, pred, threads); });
+          [&] { result = set->Query(command, pred, {.threads = threads}); });
       if (!result.ok()) {
         std::fprintf(stderr, "query '%s' failed: %s\n", command.c_str(),
                      result.status().ToString().c_str());

@@ -17,8 +17,10 @@
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
 #include "src/core/engine.h"
+#include "src/store/archive_set.h"
 #include "src/store/fs_util.h"
 #include "src/store/log_archive.h"
+#include "src/store/quarantine.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
 
@@ -134,6 +136,39 @@ int main(int argc, char** argv) {
       }
     }
     fs::remove_all(scratch);
+
+    // set_manifest.json as the current writer emits it (version 2), the
+    // pre-compaction version-1 shape, and a quarantine sidecar whose error
+    // text carries a control byte the writer escapes as \u00XX.
+    std::vector<ShardInfo> shards(2);
+    shards[0].id = 0;
+    shards[0].tenant = "acme";
+    shards[0].dir_name = "shard-000000-acme";
+    shards[0].lines = 30;
+    shards[0].sealed = true;
+    shards[0].min_ts_ns = 1'750'000'000'000'000'001ull;
+    shards[0].max_ts_ns = 1'750'000'000'000'000'003ull;
+    shards[1].id = 1;
+    shards[1].tenant = "beta";
+    shards[1].dir_name = "shard-000001-beta";
+    shards[1].line_base = ArchiveSet::kShardLineSpan;
+    ArchiveSet::SetManifestHeader header;
+    header.window_span_ns = 3'600'000'000'000ull;
+    header.next_shard_id = 2;
+    header.next_line_base = 2 * ArchiveSet::kShardLineSpan;
+    header.generation = 3;
+    WriteSeed(dir, ArchiveSet::SerializeSetManifest(header, shards));
+    WriteSeed(dir,
+              "{\"version\":1,\"window_span_ns\":\"0\",\"next_shard_id\":\"1\","
+              "\"next_line_base\":\"1099511627776\",\"shards\":[{\"id\":\"0\","
+              "\"tenant\":\"acme\",\"dir\":\"shard-000000-acme\","
+              "\"line_base\":\"0\",\"lines\":\"12\",\"sealed\":false,"
+              "\"expired\":false}]}\n");
+    QuarantineSet quarantine;
+    quarantine.Add(
+        {2, "IO_ERROR", "read failed:\x01 \"EIO\"\n", false, 1754000000});
+    quarantine.Add({5, "CORRUPT_DATA", "bad checksum", true, 0});
+    WriteSeed(dir, SerializeQuarantineJson(quarantine));
   }
 
   // --- http: request/response/json bytes behind the 1-byte chunk selector

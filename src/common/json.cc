@@ -1,6 +1,7 @@
 #include "src/common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,12 @@ void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
+void AppendUint(std::string* out, uint64_t v) {
+  char buf[20];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
 // ---------------------------------------------------------------------------
 // JsonValue
 // ---------------------------------------------------------------------------
@@ -60,10 +67,20 @@ int64_t JsonValue::AsInt(int64_t fallback) const {
 }
 
 uint64_t JsonValue::AsUint(uint64_t fallback) const {
+  if (exact_uint_) {
+    return uint_;
+  }
   if (kind_ != Kind::kNumber || number_ < 0) {
     return fallback;
   }
   return static_cast<uint64_t>(number_);
+}
+
+bool JsonValue::AsExactUint(uint64_t* out) const {
+  if (exact_uint_) {
+    *out = uint_;
+  }
+  return exact_uint_;
 }
 
 double JsonValue::AsDouble(double fallback) const {
@@ -103,6 +120,13 @@ JsonValue JsonValue::Number(double d) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_ = d;
+  return v;
+}
+
+JsonValue JsonValue::Uint(uint64_t u) {
+  JsonValue v = Number(static_cast<double>(u));
+  v.exact_uint_ = true;
+  v.uint_ = u;
   return v;
 }
 
@@ -355,6 +379,15 @@ class Parser {
       return InvalidArgument("json: expected value");
     }
     const std::string token(text_.substr(start, pos_ - start));
+    // A plain digit run that fits in 64 bits is kept exactly as well.
+    uint64_t exact = 0;
+    const char* const token_end = token.data() + token.size();
+    const std::from_chars_result r =
+        std::from_chars(token.data(), token_end, exact);
+    if (r.ec == std::errc() && r.ptr == token_end) {
+      *out = JsonValue::Uint(exact);
+      return OkStatus();
+    }
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || !std::isfinite(value)) {

@@ -1,17 +1,14 @@
-// Minimal JSON support shared by the serving layer: string escaping for
-// writers and a small recursive-descent value parser for readers.
-//
-// The store already hand-rolls JSON in two places (quarantine sidecar,
-// metrics exporters); the daemon adds a third producer (query responses)
-// and the first in-process *consumer* (the blocking client used by tests
-// and the throughput bench). This header centralizes the escape rules and
-// gives consumers a proper tree instead of another one-off cursor.
+// Minimal JSON support shared by every producer and reader in the repo:
+// string escaping and integer formatting for writers (query responses, the
+// access log, traces, metrics, the quarantine sidecar and the set manifest)
+// and a small recursive-descent value parser for readers.
 //
 // The parser is defensive, not fast: depth-capped, size comes from the
 // caller, malformed input yields kInvalidArgument, never a crash or
-// unbounded recursion. Numbers are kept as int64/double (JSON has no
-// integer type; uint64 values above 2^63 are not needed by any current
-// producer).
+// unbounded recursion. Numbers are kept as doubles (JSON has no integer
+// type); a plain unsigned integer literal that fits in 64 bits is also kept
+// exactly (AsExactUint), so readers of on-disk integers never see a value
+// rounded or wrapped.
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
@@ -28,6 +25,8 @@ namespace loggrep {
 
 // Appends `s` as a quoted, escaped JSON string literal.
 void AppendJsonString(std::string* out, std::string_view s);
+// Appends `v` in decimal.
+void AppendUint(std::string* out, uint64_t v);
 inline std::string JsonQuote(std::string_view s) {
   std::string out;
   AppendJsonString(&out, s);
@@ -50,6 +49,11 @@ class JsonValue {
   bool AsBool(bool fallback = false) const;
   int64_t AsInt(int64_t fallback = 0) const;
   uint64_t AsUint(uint64_t fallback = 0) const;
+  // True when the value was written as a plain unsigned integer literal (no
+  // sign, fraction or exponent) that fits in 64 bits; `*out` then receives
+  // it exactly. Strict readers use this where AsUint would truncate 1.5,
+  // clamp -1 or round above 2^53.
+  bool AsExactUint(uint64_t* out) const;
   double AsDouble(double fallback = 0) const;
   const std::string& AsString() const;
   const std::vector<JsonValue>& AsArray() const;
@@ -62,6 +66,7 @@ class JsonValue {
   static JsonValue Null();
   static JsonValue Bool(bool b);
   static JsonValue Number(double d);
+  static JsonValue Uint(uint64_t u);  // a number that is also exact
   static JsonValue Str(std::string s);
   static JsonValue Array(std::vector<JsonValue> items);
   static JsonValue Object(std::map<std::string, JsonValue> members);
@@ -70,6 +75,8 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0;
+  bool exact_uint_ = false;
+  uint64_t uint_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;

@@ -1,8 +1,9 @@
 #include "src/common/metrics_export.h"
 
-#include <cctype>
 #include <cstdio>
 #include <utility>
+
+#include "src/common/json.h"
 
 namespace loggrep {
 namespace {
@@ -16,17 +17,6 @@ std::string SanitizePrometheusName(const std::string& name) {
     out += ok ? c : '_';
   }
   return out;
-}
-
-void AppendJsonKey(std::string& out, const std::string& key) {
-  out += '"';
-  for (char c : key) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -88,7 +78,7 @@ std::string ExportJson(const MetricsRegistry& registry) {
       out += ',';
     }
     first = false;
-    AppendJsonKey(out, name);
+    AppendJsonString(&out, name);
     out += ':' + std::to_string(value);
   }
   out += "},\"histograms\":{";
@@ -98,7 +88,7 @@ std::string ExportJson(const MetricsRegistry& registry) {
       out += ',';
     }
     first = false;
-    AppendJsonKey(out, name);
+    AppendJsonString(&out, name);
     out += ":{\"count\":" + std::to_string(snap.count) +
            ",\"sum\":" + std::to_string(snap.sum) +
            ",\"max\":" + std::to_string(snap.max) +

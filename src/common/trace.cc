@@ -7,6 +7,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "src/common/json.h"
+
 namespace loggrep {
 namespace {
 
@@ -22,37 +24,6 @@ uint64_t SteadyNowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void AppendJsonEscaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 // Microsecond timestamp with sub-microsecond fraction, as Chrome expects.
@@ -196,29 +167,29 @@ std::string Tracer::ExportChromeJson() const {
   for (const auto& [tid, name] : names) {
     comma();
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    AppendJsonEscaped(out, name.c_str());
-    out += "\"}}";
+           ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    AppendJsonString(&out, name);
+    out += "}}";
   }
 
   for (const TraceEvent& e : events) {
     // Complete event.
     comma();
     out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.tid) +
-           ",\"name\":\"";
-    AppendJsonEscaped(out, e.name != nullptr ? e.name : "?");
-    out += "\",\"cat\":\"";
-    AppendJsonEscaped(out, e.category != nullptr ? e.category : "loggrep");
-    out += "\",\"ts\":";
+           ",\"name\":";
+    AppendJsonString(&out, e.name != nullptr ? e.name : "?");
+    out += ",\"cat\":";
+    AppendJsonString(&out, e.category != nullptr ? e.category : "loggrep");
+    out += ",\"ts\":";
     AppendMicros(out, e.start_ns);
     out += ",\"dur\":";
     AppendMicros(out, e.dur_ns);
     out += ",\"args\":{\"span\":" + std::to_string(e.span_id) +
            ",\"parent\":" + std::to_string(e.parent_id);
     if (e.arg_name != nullptr) {
-      out += ",\"";
-      AppendJsonEscaped(out, e.arg_name);
-      out += "\":" + std::to_string(e.arg_value);
+      out += ',';
+      AppendJsonString(&out, e.arg_name);
+      out += ':' + std::to_string(e.arg_value);
     }
     out += "}}";
 

@@ -44,7 +44,7 @@ struct EngineOptions {
   // Shared box/capsule cache. When `box_cache` is null and `use_box_cache`
   // is set, the engine owns a private cache sized by
   // `box_cache_budget_bytes`; pass an external cache to share it across
-  // engines (LogArchive does this for its ParallelQuery workers).
+  // engines (LogArchive does this for its parallel Query workers).
   bool use_box_cache = true;
   size_t box_cache_budget_bytes = 256ull << 20;
   BoxCache* box_cache = nullptr;  // borrowed; must outlive the engine

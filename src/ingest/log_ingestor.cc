@@ -138,7 +138,7 @@ void LogIngestor::WorkerCompress(uint64_t seq,
 
   timer.Reset();
   // One engine per block: CompressBlock shares nothing across blocks, so
-  // workers stay lock-free (mirrors ParallelQuery's per-task engines).
+  // workers stay lock-free (like parallel Query's per-block tasks).
   {
     const TraceSpan span("ingest.compress", "ingest", "seq", seq);
     LogGrepEngine engine(options_.archive.engine);

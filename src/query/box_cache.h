@@ -1,5 +1,5 @@
 // BoxCache: a sharded, byte-budgeted LRU cache shared across queries (and
-// across ParallelQuery workers) on the warm query path.
+// across parallel Query workers) on the warm query path.
 //
 // The paper's economics (§5–§6) hinge on touching as few decompressed bytes
 // as possible per query. The cold path already decompresses only the Capsules
@@ -16,7 +16,7 @@
 // Entries are handed out as shared_ptr<const ...>: a querier pins what it
 // uses, so eviction can never invalidate live string_views. The cache is
 // sharded (hash of the key picks the shard; each shard has its own mutex,
-// LRU list and slice of the byte budget) so ParallelQuery workers contend
+// LRU list and slice of the byte budget) so parallel Query workers contend
 // only when they touch the same shard. Accounting is strict: every entry is
 // charged its payload bytes plus a fixed bookkeeping overhead, and a shard
 // evicts from the cold end until it is back under budget. Loaders run

@@ -6,7 +6,7 @@
 // that survive filtering. Decompressed Capsules are pinned for the lifetime
 // of the querier, so multi-keyword queries and reconstruction reuse them;
 // when a shared BoxCache is attached, decompressed Capsules additionally
-// persist *across* queriers (and across ParallelQuery workers), so a warm
+// persist *across* queriers (and across parallel Query workers), so a warm
 // repeated or refined query decompresses strictly fewer bytes.
 #ifndef SRC_QUERY_LOCATOR_H_
 #define SRC_QUERY_LOCATOR_H_

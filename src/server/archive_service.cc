@@ -1,7 +1,6 @@
 #include "src/server/archive_service.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "src/common/json.h"
@@ -11,12 +10,6 @@
 namespace loggrep {
 
 namespace {
-
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
 
 void AppendStatsJson(std::string* out, const ArchiveQueryResult& result) {
   const LocatorStats& s = result.locator;
@@ -82,78 +75,34 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
   out->append("]}");
 }
 
-// The /query (and /explain) success body. Shape:
+// The explain fields of a response, summarized once per /explain request
+// from either tree kind (QueryExplain or SetExplain).
+struct ExplainSection {
+  bool invariant_ok = true;
+  std::string invariant_detail;
+  ExplainTotals totals;
+  std::string render;
+};
+
+template <typename Tree>
+ExplainSection SummarizeExplain(const Tree& tree) {
+  ExplainSection section;
+  section.invariant_ok = tree.CheckInvariant(&section.invariant_detail);
+  section.totals = tree.Totals();
+  section.render = tree.Render();
+  return section;
+}
+
+// The /query (and /explain) success body of both handle kinds. Shape:
 //   {"complete":bool,"hits":[[line,"text"],...],"stats":{...},
+//    "shards":{"total":n,"pruned":n,"visited":n,"failed":n},  -- sets only
 //    "partial":{...},            -- only when degraded
-//    "explain":{"render":"...","invariant_ok":bool,"totals":{...}}}  -- /explain
-std::string RenderQueryJson(const ArchiveQueryResult& result,
-                            const QueryExplain* explain) {
-  std::string out;
-  out.reserve(4096 + result.hits.size() * 48);
-  out.append("{\"complete\":");
-  out.append(result.partial.partial() ? "false" : "true");
-  out.append(",\"hits\":[");
-  bool first = true;
-  for (const auto& [line, text] : result.hits) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append("[");
-    AppendUint(&out, line);
-    out.push_back(',');
-    AppendJsonString(&out, text);
-    out.push_back(']');
-  }
-  out.append("],\"stats\":");
-  AppendStatsJson(&out, result);
-  if (result.partial.partial()) {
-    out.append(",\"partial\":");
-    AppendPartialJson(&out, result.partial);
-  }
-  if (explain != nullptr) {
-    std::string detail;
-    const bool invariant_ok = explain->CheckInvariant(&detail);
-    const ExplainTotals totals = explain->Totals();
-    out.append(",\"explain\":{\"invariant_ok\":");
-    out.append(invariant_ok ? "true" : "false");
-    if (!invariant_ok) {
-      out.append(",\"invariant_detail\":");
-      AppendJsonString(&out, detail);
-    }
-    out.append(",\"totals\":{\"visited\":");
-    AppendUint(&out, totals.visited);
-    out.append(",\"pruned\":");
-    AppendUint(&out, totals.pruned);
-    out.append(",\"cached\":");
-    AppendUint(&out, totals.cached);
-    out.append(",\"decompressed\":");
-    AppendUint(&out, totals.decompressed);
-    out.append("},\"render\":");
-    AppendJsonString(&out, explain->Render());
-    out.append("}");
-  }
-  out.push_back('}');
-  return out;
-}
-
-std::string RenderErrorJson(const Status& status) {
-  std::string out("{\"error\":");
-  AppendJsonString(&out, status.ToString());
-  out.append(",\"code\":");
-  AppendJsonString(&out, StatusCodeName(status.code()));
-  out.push_back('}');
-  return out;
-}
-
-// The federated success body. Same top-level shape as RenderQueryJson so
-// clients parse both, plus a "shards" accounting object and per-shard holes:
-//   {"complete":bool,"hits":[[line,"text"],...],"stats":{...},
-//    "shards":{"total":n,"pruned":n,"visited":n,"failed":n},
-//    "partial":{...},"shard_failures":[...],   -- only when degraded
-//    "explain":{...}}                          -- /explain
-std::string RenderSetQueryJson(const SetQueryResult& result,
-                               const SetExplain* explain) {
+//    "shard_failures":[...],     -- only when a whole shard failed
+//    "explain":{"invariant_ok":bool,"totals":{...},"render":"..."}}
+// The hit list is followed directly by "stats", which clients locate by
+// that adjacency.
+std::string RenderQueryJson(const SetQueryResult& result, bool is_set,
+                            const ExplainSection* explain) {
   std::string out;
   out.reserve(4096 + result.hits.size() * 48);
   out.append("{\"complete\":");
@@ -172,23 +121,18 @@ std::string RenderSetQueryJson(const SetQueryResult& result,
     out.push_back(']');
   }
   out.append("],\"stats\":");
-  // The block/locator counters share the single-archive schema; mirror them
-  // into an ArchiveQueryResult so the JSON field set stays identical.
-  ArchiveQueryResult stats;
-  stats.blocks_pruned = result.blocks_pruned;
-  stats.blocks_queried = result.blocks_queried;
-  stats.blocks_from_cache = result.blocks_from_cache;
-  stats.locator = result.locator;
-  AppendStatsJson(&out, stats);
-  out.append(",\"shards\":{\"total\":");
-  AppendUint(&out, result.shards_total);
-  out.append(",\"pruned\":");
-  AppendUint(&out, result.shards_pruned);
-  out.append(",\"visited\":");
-  AppendUint(&out, result.shards_visited);
-  out.append(",\"failed\":");
-  AppendUint(&out, result.shards_failed);
-  out.push_back('}');
+  AppendStatsJson(&out, result);
+  if (is_set) {
+    out.append(",\"shards\":{\"total\":");
+    AppendUint(&out, result.shards_total);
+    out.append(",\"pruned\":");
+    AppendUint(&out, result.shards_pruned);
+    out.append(",\"visited\":");
+    AppendUint(&out, result.shards_visited);
+    out.append(",\"failed\":");
+    AppendUint(&out, result.shards_failed);
+    out.push_back('}');
+  }
   if (result.partial.partial()) {
     out.append(",\"partial\":");
     AppendPartialJson(&out, result.partial);
@@ -216,29 +160,83 @@ std::string RenderSetQueryJson(const SetQueryResult& result,
     out.push_back(']');
   }
   if (explain != nullptr) {
-    std::string detail;
-    const bool invariant_ok = explain->CheckInvariant(&detail);
-    const ExplainTotals totals = explain->Totals();
     out.append(",\"explain\":{\"invariant_ok\":");
-    out.append(invariant_ok ? "true" : "false");
-    if (!invariant_ok) {
+    out.append(explain->invariant_ok ? "true" : "false");
+    if (!explain->invariant_ok) {
       out.append(",\"invariant_detail\":");
-      AppendJsonString(&out, detail);
+      AppendJsonString(&out, explain->invariant_detail);
     }
     out.append(",\"totals\":{\"visited\":");
-    AppendUint(&out, totals.visited);
+    AppendUint(&out, explain->totals.visited);
     out.append(",\"pruned\":");
-    AppendUint(&out, totals.pruned);
+    AppendUint(&out, explain->totals.pruned);
     out.append(",\"cached\":");
-    AppendUint(&out, totals.cached);
+    AppendUint(&out, explain->totals.cached);
     out.append(",\"decompressed\":");
-    AppendUint(&out, totals.decompressed);
+    AppendUint(&out, explain->totals.decompressed);
     out.append("},\"render\":");
-    AppendJsonString(&out, explain->Render());
+    AppendJsonString(&out, explain->render);
     out.append("}");
   }
   out.push_back('}');
   return out;
+}
+
+ServiceResponse ErrorResponse(const Status& status) {
+  ServiceResponse response;
+  response.http_status = HttpStatusForQueryError(status);
+  response.body = "{\"error\":";
+  AppendJsonString(&response.body, status.ToString());
+  response.body.append(",\"code\":");
+  AppendJsonString(&response.body, StatusCodeName(status.code()));
+  response.body.push_back('}');
+  return response;
+}
+
+// A plain archive's answer, moved into the set result shape (no shards, no
+// shard holes). A plain archive has no tenant or time dimension, so those
+// request predicates are ignored.
+Result<SetQueryResult> QueryArchive(LogArchive* archive,
+                                    const ServiceRequest& request,
+                                    const QueryOptions& options,
+                                    std::optional<ExplainSection>* explain) {
+  QueryExplain tree;
+  Result<ArchiveQueryResult> result =
+      request.explain ? archive->Explain(request.command, &tree, options)
+                      : archive->Query(request.command, options);
+  if (!result.ok()) {
+    return result.status();
+  }
+  if (request.explain) {
+    explain->emplace(SummarizeExplain(tree));
+  }
+  SetQueryResult moved;
+  static_cast<ArchiveQueryResult&>(moved) = std::move(*result);
+  return moved;
+}
+
+// Federated execution: the predicates prune shards, the rest scatters
+// across the set's shards.
+Result<SetQueryResult> QuerySet(ArchiveSet* set, const ServiceRequest& request,
+                                const QueryOptions& options,
+                                std::optional<ExplainSection>* explain) {
+  SetQueryPredicate pred;
+  if (!request.tenant.empty()) {
+    pred.tenant = request.tenant;
+  }
+  pred.from_ns = request.from_ns;
+  pred.to_ns = request.to_ns;
+  if (pred.from_ns > pred.to_ns) {
+    return InvalidArgument("empty time range: from > to");
+  }
+  SetExplain tree;
+  Result<SetQueryResult> result =
+      request.explain ? set->Explain(request.command, pred, &tree, options)
+                      : set->Query(request.command, pred, options);
+  if (result.ok() && request.explain) {
+    explain->emplace(SummarizeExplain(tree));
+  }
+  return result;
 }
 
 }  // namespace
@@ -339,12 +337,9 @@ Result<std::shared_ptr<ArchiveService::Handle>> ArchiveService::GetOrOpen(
 
 ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   const TraceSpan span("server.run_query", "server");
-  ServiceResponse response;
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(request.archive);
   if (!handle.ok()) {
-    response.http_status = HttpStatusForQueryError(handle.status());
-    response.body = RenderErrorJson(handle.status());
-    return response;
+    return ErrorResponse(handle.status());
   }
 
   // Per-request knobs travel by value: they govern this execution only. The
@@ -352,115 +347,45 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   QueryOptions options;
   options.degrade = request.degrade;
   options.deadline_ns = request.deadline_ms * 1'000'000ull;
-  if ((*handle)->set != nullptr) {
-    return RunOnSet(request, options, (*handle)->set.get());
-  }
-  LogArchive* archive = (*handle)->archive.get();
-  QueryExplain explain;
-  Result<ArchiveQueryResult> result =
-      request.explain ? archive->Explain(request.command, &explain, options)
-                      : archive->Query(request.command, options);
-
-  if (!result.ok()) {
-    response.http_status = HttpStatusForQueryError(result.status());
-    response.body = RenderErrorJson(result.status());
-    return response;
-  }
-  response.http_status = result->partial.partial() ? 206 : 200;
-  response.degraded = result->partial.partial();
-  response.body =
-      RenderQueryJson(*result, request.explain ? &explain : nullptr);
-  const LocatorStats& s = result->locator;
-  response.stats.hits = result->hits.size();
-  response.stats.blocks_queried = result->blocks_queried;
-  response.stats.blocks_from_cache = result->blocks_from_cache;
-  response.stats.cache_hits = s.cache_hits;
-  response.stats.cache_misses = s.cache_misses;
-  response.stats.bytes_decompressed = s.bytes_decompressed;
-  response.stats.prune_ns = s.prune_nanos;
-  response.stats.open_ns = s.open_nanos;
-  response.stats.stamp_filter_ns = s.stamp_filter_nanos;
-  response.stats.decompress_ns = s.decompress_nanos;
-  response.stats.scan_ns = s.scan_nanos;
-  response.stats.reconstruct_ns = s.reconstruct_nanos;
-  if (request.explain) {
-    response.explain_render = explain.Render();
-  }
-  return response;
-}
-
-// Federated execution: predicates prune shards, the rest scatters across
-// the set's shards.
-ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
-                                         const QueryOptions& options,
-                                         ArchiveSet* set) {
-  ServiceResponse response;
-
-  SetQueryPredicate pred;
-  if (!request.tenant.empty()) {
-    pred.tenant = request.tenant;
-  }
-  pred.from_ns = request.from_ns;
-  pred.to_ns = request.to_ns;
-  if (pred.from_ns > pred.to_ns) {
-    const Status bad = InvalidArgument("empty time range: from > to");
-    response.http_status = HttpStatusForQueryError(bad);
-    response.body = RenderErrorJson(bad);
-    return response;
-  }
-
-  SetExplain explain;
+  const Handle& h = **handle;
+  std::optional<ExplainSection> explain;
   Result<SetQueryResult> result =
-      request.explain ? set->Explain(request.command, pred, &explain, options)
-                      : set->Query(request.command, pred, options);
-
+      h.set != nullptr
+          ? QuerySet(h.set.get(), request, options, &explain)
+          : QueryArchive(h.archive.get(), request, options, &explain);
   if (!result.ok()) {
-    response.http_status = HttpStatusForQueryError(result.status());
-    response.body = RenderErrorJson(result.status());
-    return response;
+    return ErrorResponse(result.status());
   }
-  response.http_status = result->complete() ? 200 : 206;
+
+  ServiceResponse response;
   response.degraded = !result->complete();
-  response.body =
-      RenderSetQueryJson(*result, request.explain ? &explain : nullptr);
-  const LocatorStats& s = result->locator;
+  response.http_status = response.degraded ? 206 : 200;
+  response.body = RenderQueryJson(*result, /*is_set=*/h.set != nullptr,
+                                  explain ? &*explain : nullptr);
   response.stats.hits = result->hits.size();
   response.stats.blocks_queried = result->blocks_queried;
   response.stats.blocks_from_cache = result->blocks_from_cache;
-  response.stats.cache_hits = s.cache_hits;
-  response.stats.cache_misses = s.cache_misses;
-  response.stats.bytes_decompressed = s.bytes_decompressed;
-  response.stats.prune_ns = s.prune_nanos;
-  response.stats.open_ns = s.open_nanos;
-  response.stats.stamp_filter_ns = s.stamp_filter_nanos;
-  response.stats.decompress_ns = s.decompress_nanos;
-  response.stats.scan_ns = s.scan_nanos;
-  response.stats.reconstruct_ns = s.reconstruct_nanos;
-  if (request.explain) {
-    response.explain_render = explain.Render();
+  response.stats.locator = result->locator;
+  if (explain) {
+    response.explain_render = std::move(explain->render);
   }
   return response;
 }
 
 ServiceResponse ArchiveService::Compact(const std::string& archive) {
-  ServiceResponse response;
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(archive);
   if (!handle.ok()) {
-    response.http_status = HttpStatusForQueryError(handle.status());
-    response.body = RenderErrorJson(handle.status());
-    return response;
+    return ErrorResponse(handle.status());
   }
   if ((*handle)->set == nullptr) {
-    const Status bad =
+    return ErrorResponse(
         InvalidArgument("compaction targets an ArchiveSet root; '" + archive +
-                        "' is a plain archive");
-    response.http_status = HttpStatusForQueryError(bad);
-    response.body = RenderErrorJson(bad);
-    return response;
+                        "' is a plain archive"));
   }
   // Compact serializes against other compactors itself and commits under
   // the set's own lock, so queries keep flowing while blocks are rewritten.
   const SetCompactionReport report = (*handle)->set->Compact();
+  ServiceResponse response;
   response.http_status = report.ok() ? 200 : 500;
   std::string& out = response.body;
   out.append("{\"ok\":");

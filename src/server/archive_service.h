@@ -95,22 +95,14 @@ struct ServiceRequest {
   uint64_t to_ns = UINT64_MAX;  // inclusive event-time upper bound
 };
 
-// Flat stats mirror for the access log: the JSON body already carries all
-// of this, but the daemon's per-request telemetry must not pay a JSON
-// re-parse per request to log it.
+// Stats mirror for the access log: the JSON body already carries all of
+// this, but the daemon's per-request telemetry must not pay a JSON re-parse
+// per request to log it.
 struct ServiceQueryStats {
   uint64_t hits = 0;
   uint64_t blocks_queried = 0;
   uint64_t blocks_from_cache = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t bytes_decompressed = 0;
-  uint64_t prune_ns = 0;
-  uint64_t open_ns = 0;
-  uint64_t stamp_filter_ns = 0;
-  uint64_t decompress_ns = 0;
-  uint64_t scan_ns = 0;
-  uint64_t reconstruct_ns = 0;
+  LocatorStats locator;
 };
 
 struct ServiceResponse {
@@ -172,7 +164,9 @@ class ArchiveService {
  private:
   // A handle is either a plain archive or a federated ArchiveSet — the
   // service sniffs set_manifest.json at open time. Exactly one of the two
-  // pointers is set; both are immutable after open.
+  // pointers is set; both are immutable after open. Both kinds run through
+  // one Run body: a plain archive's result is moved into the set result
+  // shape, and only a set's body carries the "shards" accounting.
   struct Handle {
     std::unique_ptr<LogArchive> archive;
     std::unique_ptr<ArchiveSet> set;
@@ -181,9 +175,6 @@ class ArchiveService {
   // Returns the open handle for `name`, opening (and caching) it on first
   // use. kNotFound when the directory has no manifest.
   Result<std::shared_ptr<Handle>> GetOrOpen(const std::string& name);
-
-  ServiceResponse RunOnSet(const ServiceRequest& request,
-                           const QueryOptions& options, ArchiveSet* set);
 
   ServiceOptions options_;
   mutable std::mutex mu_;  // guards handles_ (not the archives themselves)

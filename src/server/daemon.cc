@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -20,12 +19,6 @@
 namespace loggrep {
 
 namespace {
-
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
 
 // Poll granularity for blocking reads: how quickly an idle connection
 // notices a drain. Short enough that Shutdown() feels immediate, long
@@ -520,23 +513,23 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
   line.append(",\"blocks_from_cache\":");
   AppendUint(&line, rec->stats.blocks_from_cache);
   line.append(",\"cache_hits\":");
-  AppendUint(&line, rec->stats.cache_hits);
+  AppendUint(&line, rec->stats.locator.cache_hits);
   line.append(",\"cache_misses\":");
-  AppendUint(&line, rec->stats.cache_misses);
+  AppendUint(&line, rec->stats.locator.cache_misses);
   line.append(",\"bytes_decompressed\":");
-  AppendUint(&line, rec->stats.bytes_decompressed);
+  AppendUint(&line, rec->stats.locator.bytes_decompressed);
   line.append(",\"stage_ns\":{\"prune\":");
-  AppendUint(&line, rec->stats.prune_ns);
+  AppendUint(&line, rec->stats.locator.prune_nanos);
   line.append(",\"open\":");
-  AppendUint(&line, rec->stats.open_ns);
+  AppendUint(&line, rec->stats.locator.open_nanos);
   line.append(",\"stamp\":");
-  AppendUint(&line, rec->stats.stamp_filter_ns);
+  AppendUint(&line, rec->stats.locator.stamp_filter_nanos);
   line.append(",\"decompress\":");
-  AppendUint(&line, rec->stats.decompress_ns);
+  AppendUint(&line, rec->stats.locator.decompress_nanos);
   line.append(",\"scan\":");
-  AppendUint(&line, rec->stats.scan_ns);
+  AppendUint(&line, rec->stats.locator.scan_nanos);
   line.append(",\"reconstruct\":");
-  AppendUint(&line, rec->stats.reconstruct_ns);
+  AppendUint(&line, rec->stats.locator.reconstruct_nanos);
   line.append("},\"degraded\":");
   line.append(rec->degraded ? "true" : "false");
   line.append(",\"shed\":");

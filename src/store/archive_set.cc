@@ -169,27 +169,6 @@ std::string ArchiveSet::SetManifestPath(const std::string& root) {
 }
 
 std::string ArchiveSet::SerializeSetManifest(
-    uint64_t window_span_ns, uint64_t next_shard_id, uint64_t next_line_base,
-    const std::vector<ShardInfo>& shards) {
-  SetManifestHeader header;
-  header.window_span_ns = window_span_ns;
-  header.next_shard_id = next_shard_id;
-  header.next_line_base = next_line_base;
-  return SerializeSetManifest(header, shards);
-}
-
-Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
-    std::string_view bytes, uint64_t* window_span_ns, uint64_t* next_shard_id,
-    uint64_t* next_line_base) {
-  SetManifestHeader header;
-  Result<std::vector<ShardInfo>> shards = ParseSetManifest(bytes, &header);
-  *window_span_ns = header.window_span_ns;
-  *next_shard_id = header.next_shard_id;
-  *next_line_base = header.next_line_base;
-  return shards;
-}
-
-std::string ArchiveSet::SerializeSetManifest(
     const SetManifestHeader& header, const std::vector<ShardInfo>& shards) {
   std::string out = "{\"version\":" + std::to_string(kSetManifestVersion);
   bool first = false;
@@ -701,31 +680,19 @@ std::string SetQueryResult::RenderPartial() const {
 Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
                                          const SetQueryPredicate& pred,
                                          const QueryOptions& options) {
-  return QueryImpl(command, pred, options, /*num_threads=*/0,
-                   /*explain=*/nullptr);
-}
-
-Result<SetQueryResult> ArchiveSet::ParallelQuery(std::string_view command,
-                                                 const SetQueryPredicate& pred,
-                                                 size_t num_threads,
-                                                 const QueryOptions& options) {
-  if (num_threads == 0) {
-    return InvalidArgument("ParallelQuery needs at least one thread");
-  }
-  return QueryImpl(command, pred, options, num_threads, /*explain=*/nullptr);
+  return QueryImpl(command, pred, options, /*explain=*/nullptr);
 }
 
 Result<SetQueryResult> ArchiveSet::Explain(std::string_view command,
                                            const SetQueryPredicate& pred,
                                            SetExplain* explain,
                                            const QueryOptions& options) {
-  return QueryImpl(command, pred, options, /*num_threads=*/0, explain);
+  return QueryImpl(command, pred, options, explain);
 }
 
 Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
                                              const SetQueryPredicate& pred,
                                              const QueryOptions& options,
-                                             size_t num_threads,
                                              SetExplain* explain) {
   // A malformed command must fail even when every shard is pruned (the
   // answer "no hits" would be a lie about a query that has no meaning).
@@ -813,14 +780,18 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     ArchiveQueryResult result;
   };
   std::vector<Slot> slots(visits.size());
+  // Parallelism lives at one level: the shards fan out, each shard's blocks
+  // run serially.
+  QueryOptions shard_options = options;
+  shard_options.threads = 1;
   auto run_one = [&](size_t v) {
     Slot& slot = slots[v];
     Result<ArchiveQueryResult> r =
         explain != nullptr
             ? visits[v].archive->Explain(
                   command, &explain->shards[visits[v].explain_index].archive,
-                  options)
-            : visits[v].archive->Query(command, options);
+                  shard_options)
+            : visits[v].archive->Query(command, shard_options);
     if (r.ok()) {
       slot.result = std::move(*r);
       slot.done = true;
@@ -828,8 +799,8 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       slot.status = r.status();
     }
   };
-  if (num_threads > 1 && visits.size() > 1) {
-    ThreadPool pool(std::min(num_threads, visits.size()));
+  if (options.threads > 1 && explain == nullptr && visits.size() > 1) {
+    ThreadPool pool(std::min(options.threads, visits.size()));
     for (size_t v = 0; v < visits.size(); ++v) {
       pool.Submit([&, v] { run_one(v); });
     }

@@ -142,24 +142,18 @@ struct SetShardFailure {
   std::string error;
 };
 
-struct SetQueryResult {
-  // Global line numbers (shard line_base + shard-local line), ascending.
-  // Usually free (bases are non-decreasing in visit order); when a merged
-  // shard's line span interleaves with other tenants' bases the gather
-  // re-sorts — line numbers are globally unique, so the order is total.
-  QueryHits hits;
+// A federated answer in the single-archive shape: `hits` carry global line
+// numbers (shard line_base + shard-local line), the block counters and
+// `locator` are summed over visited shards, and `partial` concatenates the
+// shards' block-level holes with first_line rebased to global numbering.
+// Hits ascend: usually for free (bases are non-decreasing in visit order);
+// when a merged shard's line span interleaves with other tenants' bases the
+// gather re-sorts — line numbers are globally unique, so the order is total.
+struct SetQueryResult : ArchiveQueryResult {
   uint32_t shards_total = 0;    // live (non-tombstoned) shards considered
   uint32_t shards_pruned = 0;   // rejected by tenant/time predicates
   uint32_t shards_visited = 0;  // actually queried (pruned+visited==total)
   uint32_t shards_failed = 0;   // of visited, how many failed entirely
-  // Summed over visited shards.
-  uint32_t blocks_pruned = 0;
-  uint32_t blocks_queried = 0;
-  uint32_t blocks_from_cache = 0;
-  LocatorStats locator;
-  // Block-level holes, concatenated across shards with first_line rebased
-  // to global numbering.
-  PartialReport partial;
   // Whole-shard holes.
   std::vector<SetShardFailure> shard_failures;
 
@@ -267,22 +261,19 @@ class ArchiveSet {
   Result<AppendReceipt> Append(std::string_view tenant, std::string_view text,
                                uint64_t ts_ns = 0);
 
-  // Federated query over every live shard surviving `pred`. Serial
-  // (shard-at-a-time) scatter. `options` (degrade, retry deadline) applies
-  // to this call only; with degrade off an unopenable or failing shard
-  // fails the query instead of becoming a hole.
+  // Federated query over every live shard surviving `pred`. `options`
+  // (degrade, retry deadline, threads) applies to this call only; with
+  // degrade off an unopenable or failing shard fails the query instead of
+  // becoming a hole. options.threads > 1 queries the surviving shards
+  // concurrently on that many pool workers (each shard serially); otherwise
+  // the scatter goes shard at a time.
   Result<SetQueryResult> Query(std::string_view command,
                                const SetQueryPredicate& pred = {},
                                const QueryOptions& options = {});
-  // Same result; surviving shards are queried concurrently on
-  // `num_threads` pool workers.
-  Result<SetQueryResult> ParallelQuery(std::string_view command,
-                                       const SetQueryPredicate& pred,
-                                       size_t num_threads,
-                                       const QueryOptions& options = {});
   // Query with the full shard-level decision record (pruned shards carry
   // the rejecting predicate; visited shards carry their per-block
-  // QueryExplain). Serial, like LogArchive::Explain.
+  // QueryExplain). Serial, like LogArchive::Explain: options.threads is
+  // ignored.
   Result<SetQueryResult> Explain(std::string_view command,
                                  const SetQueryPredicate& pred,
                                  SetExplain* explain,
@@ -397,24 +388,16 @@ class ArchiveSet {
                                           const std::vector<ShardInfo>& shards);
   static Result<std::vector<ShardInfo>> ParseSetManifest(
       std::string_view bytes, SetManifestHeader* header);
-  // Back-compat shims for the pre-generation call shape.
-  static std::string SerializeSetManifest(uint64_t window_span_ns,
-                                          uint64_t next_shard_id,
-                                          uint64_t next_line_base,
-                                          const std::vector<ShardInfo>& shards);
-  static Result<std::vector<ShardInfo>> ParseSetManifest(
-      std::string_view bytes, uint64_t* window_span_ns,
-      uint64_t* next_shard_id, uint64_t* next_line_base);
 
  private:
   ArchiveSet(std::string root, ArchiveSetOptions options);
 
   // Shared scatter-gather body. When `explain` is non-null the per-shard
-  // queries run through LogArchive::Explain. num_threads == 0 => serial.
+  // queries run through LogArchive::Explain, serially.
   Result<SetQueryResult> QueryImpl(std::string_view command,
                                    const SetQueryPredicate& pred,
                                    const QueryOptions& options,
-                                   size_t num_threads, SetExplain* explain);
+                                   SetExplain* explain);
 
   Status WriteSetManifestLocked();
   // Opens (and caches) the archive of shard `index` in shards_. For an

@@ -730,13 +730,7 @@ uint64_t LogArchive::PruneBlocks(const QueryExpr& expr,
 Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
                                              const QueryOptions& options) {
   const TraceSpan span("archive.query", "query");
-  return QueryImpl(command, options, /*num_threads=*/1, /*explain=*/nullptr);
-}
-
-Result<ArchiveQueryResult> LogArchive::ParallelQuery(
-    std::string_view command, size_t num_threads, const QueryOptions& options) {
-  const TraceSpan span("archive.parallel_query", "query");
-  return QueryImpl(command, options, num_threads, /*explain=*/nullptr);
+  return QueryImpl(command, options, /*explain=*/nullptr);
 }
 
 Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
@@ -745,12 +739,11 @@ Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
   const TraceSpan span("archive.explain", "query");
   explain->command.assign(command.data(), command.size());
   explain->blocks.clear();
-  return QueryImpl(command, options, /*num_threads=*/1, explain);
+  return QueryImpl(command, options, explain);
 }
 
 Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
                                                  const QueryOptions& options,
-                                                 size_t num_threads,
                                                  QueryExplain* explain) {
   Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
   if (!expr.ok()) {
@@ -806,8 +799,8 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
   const RetryBudget budget(storage_env(), options.deadline_ns);
   auto run_one = [&](size_t i) {
     const BlockRef& block = submitted[i];
-    // Under ParallelQuery, ThreadPool installs the submitting span as
-    // parent, so this span nests under archive.parallel_query.
+    // On a worker, ThreadPool installs the submitting span as parent, so
+    // this span nests under archive.query either way.
     const TraceSpan block_span("archive.query_block", "query", "seq",
                                block.seq);
     // Warm blocks never touch the file: the loader only runs on a box-cache
@@ -821,8 +814,8 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
                                   explain_of_seq.at(block.seq))
             : engine_->QueryBox(KeyForBlock(block.seq), loader, command));
   };
-  if (num_threads > 1 && explain == nullptr && submitted.size() > 1) {
-    ThreadPool pool(std::min(num_threads, submitted.size()));
+  if (options.threads > 1 && explain == nullptr && submitted.size() > 1) {
+    ThreadPool pool(std::min(options.threads, submitted.size()));
     for (size_t i = 0; i < submitted.size(); ++i) {
       pool.Submit([&run_one, i] { run_one(i); });
     }

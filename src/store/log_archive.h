@@ -35,7 +35,7 @@ namespace loggrep {
 struct ArchiveOptions {
   EngineOptions engine;
   uint32_t bloom_bits_per_shingle = 10;
-  // Byte budget of the archive-owned BoxCache shared by Query, ParallelQuery
+  // Byte budget of the archive-owned BoxCache shared by Query, its parallel
   // workers and the embedded engine. 0 disables the shared cache.
   size_t box_cache_budget_bytes = 256ull << 20;
   // Optional registry for query/cache counters. Borrowed.
@@ -61,6 +61,10 @@ struct QueryOptions {
   // Retry deadline: the call never spends more than this much wall time in
   // backoff, no matter how many blocks fail. 0 means unlimited.
   uint64_t deadline_ns = 0;
+  // Workers for this call's fan-out (blocks of a LogArchive, shards of an
+  // ArchiveSet; §6: queries parallelize trivially at that granularity). A
+  // value <= 1 runs serially. Explain always runs serially.
+  size_t threads = 1;
 };
 
 struct BlockInfo {
@@ -181,28 +185,25 @@ class LogArchive {
 
   // Runs a query command over all (non-pruned) blocks. Warm blocks are
   // served from the shared BoxCache: no file read, no metadata parse, and
-  // only the capsules the cache lacks are decompressed.
+  // only the capsules the cache lacks are decompressed. With
+  // options.threads > 1 the blocks are queried concurrently on that many
+  // workers, all sharing the archive's engine and BoxCache; the result is
+  // the same.
   Result<ArchiveQueryResult> Query(std::string_view command,
                                    const QueryOptions& options = {});
-
-  // Same result, with non-pruned blocks queried concurrently on
-  // `num_threads` workers (all sharing the archive's engine and BoxCache;
-  // §6 notes queries parallelize trivially at block granularity).
-  Result<ArchiveQueryResult> ParallelQuery(std::string_view command,
-                                           size_t num_threads,
-                                           const QueryOptions& options = {});
 
   // Query with a full decision record: `explain` receives one BlockExplain
   // per block — archive-pruned blocks carry block_pruned plus a reason
   // naming the keyword and filter that rejected them, queried blocks carry
   // the per-variable-vector / per-Capsule fate tree recorded by the engine
-  // (see src/query/explain.h). Runs serially and bypasses the command
-  // cache, so the record always describes a real execution.
+  // (see src/query/explain.h). Runs serially (options.threads is ignored)
+  // and bypasses the command cache, so the record always describes a real
+  // execution.
   Result<ArchiveQueryResult> Explain(std::string_view command,
                                      QueryExplain* explain,
                                      const QueryOptions& options = {});
 
-  // Thread-safety: Query, ParallelQuery, Explain, quarantine(),
+  // Thread-safety: Query, Explain, quarantine(),
   // ReloadQuarantine() and the total_*() sums may run concurrently with each
   // other and with one committer. A query holds the archive's reader lock
   // only while it prunes and snapshots the blocks it will visit; block files
@@ -253,11 +254,10 @@ class LogArchive {
     uint64_t first_line = 0;
     uint64_t line_count = 0;
   };
-  // Shared body of Query / ParallelQuery / Explain. num_threads <= 1 runs
-  // serially; `explain` non-null records the decision tree (serial only).
+  // Shared body of Query / Explain. `explain` non-null records the decision
+  // tree (serial only).
   Result<ArchiveQueryResult> QueryImpl(std::string_view command,
                                        const QueryOptions& options,
-                                       size_t num_threads,
                                        QueryExplain* explain);
   // Records `cause` in the quarantine set and persists the sidecar (best
   // effort: a failing sidecar write must not fail the query on top of the

@@ -1,9 +1,9 @@
 #include "src/store/quarantine.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
+#include <map>
 
+#include "src/common/json.h"
 #include "src/store/fs_util.h"
 
 namespace loggrep {
@@ -78,252 +78,6 @@ std::string QuarantinePath(const std::string& dir) {
 // JSON serialization
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-// Minimal cursor-based JSON reader, just enough for the sidecar's shape.
-// Unknown keys are skipped (forward compatibility for later writers).
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return false;
-            }
-            unsigned value = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            // The writer only emits \u00XX for control bytes; decode the
-            // low byte and ignore the (unused) non-ASCII plane.
-            out->push_back(static_cast<char>(value & 0xFF));
-            break;
-          }
-          default:
-            return false;
-        }
-        continue;
-      }
-      out->push_back(c);
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseUint64(uint64_t* out) {
-    SkipWs();
-    const size_t start = pos_;
-    uint64_t value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    *out = value;
-    return true;
-  }
-
-  bool ParseBool(bool* out) {
-    SkipWs();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      *out = true;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      *out = false;
-      return true;
-    }
-    return false;
-  }
-
-  // Skips any JSON value (for unknown keys). Depth-capped.
-  bool SkipValue(int depth = 0) {
-    if (depth > 16) {
-      return false;
-    }
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '"') {
-      std::string dummy;
-      return ParseString(&dummy);
-    }
-    if (c == '{' || c == '[') {
-      const char close = (c == '{') ? '}' : ']';
-      ++pos_;
-      if (Eat(close)) {
-        return true;
-      }
-      while (true) {
-        if (c == '{') {
-          std::string key;
-          if (!ParseString(&key) || !Eat(':')) {
-            return false;
-          }
-        }
-        if (!SkipValue(depth + 1)) {
-          return false;
-        }
-        if (Eat(close)) {
-          return true;
-        }
-        if (!Eat(',')) {
-          return false;
-        }
-      }
-    }
-    if (c == 't' || c == 'f') {
-      bool dummy;
-      return ParseBool(&dummy);
-    }
-    if (c == 'n') {
-      if (text_.compare(pos_, 4, "null") == 0) {
-        pos_ += 4;
-        return true;
-      }
-      return false;
-    }
-    // Number (allow a leading minus even though the writer never emits one).
-    if (c == '-') {
-      ++pos_;
-    }
-    uint64_t dummy;
-    if (!ParseUint64(&dummy)) {
-      return false;
-    }
-    // Fraction / exponent tails.
-    while (pos_ < text_.size() &&
-           (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-' ||
-            (text_[pos_] >= '0' && text_[pos_] <= '9'))) {
-      ++pos_;
-    }
-    return true;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string SerializeQuarantineJson(const QuarantineSet& set) {
   std::string out = "{\"version\":1,\"blocks\":[";
   bool first = true;
@@ -346,110 +100,72 @@ std::string SerializeQuarantineJson(const QuarantineSet& set) {
 }
 
 Result<QuarantineSet> ParseQuarantineJson(std::string_view json) {
-  JsonCursor cur(json);
-  const auto corrupt = [](const char* what) {
+  const auto corrupt = [](std::string_view what) {
     return Status(StatusCode::kCorruptData,
-                  std::string("quarantine.json: ") + what);
+                  "quarantine.json: " + std::string(what));
   };
-  if (!cur.Eat('{')) {
+  Result<JsonValue> doc = ParseJson(json);
+  if (!doc.ok()) {
+    return corrupt(doc.status().message());
+  }
+  if (!doc->is_object()) {
     return corrupt("expected top-level object");
   }
-  QuarantineSet set;
-  bool saw_blocks = false;
-  if (!cur.Peek('}')) {
-    while (true) {
-      std::string key;
-      if (!cur.ParseString(&key) || !cur.Eat(':')) {
-        return corrupt("malformed key");
-      }
-      if (key == "version") {
-        uint64_t version = 0;
-        if (!cur.ParseUint64(&version)) {
-          return corrupt("bad version");
-        }
-        if (version != 1) {
-          return corrupt("unsupported version");
-        }
-      } else if (key == "blocks") {
-        saw_blocks = true;
-        if (!cur.Eat('[')) {
-          return corrupt("blocks must be an array");
-        }
-        if (!cur.Eat(']')) {
-          while (true) {
-            if (!cur.Eat('{')) {
-              return corrupt("block entry must be an object");
-            }
-            QuarantineEntry entry;
-            bool saw_seq = false;
-            if (!cur.Eat('}')) {
-              while (true) {
-                std::string field;
-                if (!cur.ParseString(&field) || !cur.Eat(':')) {
-                  return corrupt("malformed block field");
-                }
-                if (field == "seq") {
-                  uint64_t seq = 0;
-                  if (!cur.ParseUint64(&seq) || seq > UINT32_MAX) {
-                    return corrupt("bad seq");
-                  }
-                  entry.seq = static_cast<uint32_t>(seq);
-                  saw_seq = true;
-                } else if (field == "code") {
-                  if (!cur.ParseString(&entry.code)) {
-                    return corrupt("bad code");
-                  }
-                } else if (field == "error") {
-                  if (!cur.ParseString(&entry.error)) {
-                    return corrupt("bad error");
-                  }
-                } else if (field == "tombstoned") {
-                  if (!cur.ParseBool(&entry.tombstoned)) {
-                    return corrupt("bad tombstoned");
-                  }
-                } else if (field == "quarantined_unix") {
-                  if (!cur.ParseUint64(&entry.quarantined_unix)) {
-                    return corrupt("bad quarantined_unix");
-                  }
-                } else if (!cur.SkipValue()) {
-                  return corrupt("bad unknown field");
-                }
-                if (cur.Eat('}')) {
-                  break;
-                }
-                if (!cur.Eat(',')) {
-                  return corrupt("expected ',' in block entry");
-                }
-              }
-            }
-            if (!saw_seq) {
-              return corrupt("block entry missing seq");
-            }
-            set.Add(std::move(entry));
-            if (cur.Eat(']')) {
-              break;
-            }
-            if (!cur.Eat(',')) {
-              return corrupt("expected ',' in blocks array");
-            }
-          }
-        }
-      } else if (!cur.SkipValue()) {
-        return corrupt("bad unknown top-level value");
-      }
-      if (cur.Eat('}')) {
-        break;
-      }
-      if (!cur.Eat(',')) {
-        return corrupt("expected ',' in top-level object");
-      }
+  // Unknown keys are ignored (forward compatibility for later writers).
+  const std::map<std::string, JsonValue>& top = doc->AsObject();
+  if (const auto it = top.find("version"); it != top.end()) {
+    uint64_t version = 0;
+    if (!it->second.AsExactUint(&version) || version != 1) {
+      return corrupt("unsupported version");
     }
   }
-  if (!saw_blocks) {
+  const auto blocks = top.find("blocks");
+  if (blocks == top.end()) {
     return corrupt("missing blocks array");
   }
-  if (!cur.AtEnd()) {
-    return corrupt("trailing bytes");
+  if (!blocks->second.is_array()) {
+    return corrupt("blocks must be an array");
+  }
+  QuarantineSet set;
+  for (const JsonValue& item : blocks->second.AsArray()) {
+    if (!item.is_object()) {
+      return corrupt("block entry must be an object");
+    }
+    QuarantineEntry entry;
+    bool saw_seq = false;
+    for (const auto& [field, value] : item.AsObject()) {
+      const bool is_string = value.kind() == JsonValue::Kind::kString;
+      if (field == "seq") {
+        uint64_t seq = 0;
+        if (!value.AsExactUint(&seq) || seq > UINT32_MAX) {
+          return corrupt("bad seq");
+        }
+        entry.seq = static_cast<uint32_t>(seq);
+        saw_seq = true;
+      } else if (field == "code") {
+        if (!is_string) {
+          return corrupt("bad code");
+        }
+        entry.code = value.AsString();
+      } else if (field == "error") {
+        if (!is_string) {
+          return corrupt("bad error");
+        }
+        entry.error = value.AsString();
+      } else if (field == "tombstoned") {
+        if (value.kind() != JsonValue::Kind::kBool) {
+          return corrupt("bad tombstoned");
+        }
+        entry.tombstoned = value.AsBool();
+      } else if (field == "quarantined_unix" &&
+                 !value.AsExactUint(&entry.quarantined_unix)) {
+        return corrupt("bad quarantined_unix");
+      }
+    }
+    if (!saw_seq) {
+      return corrupt("block entry missing seq");
+    }
+    set.Add(std::move(entry));
   }
   return set;
 }

@@ -183,7 +183,7 @@ struct FaultOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-// Deterministic seeded chaos backend. Thread-safe (ParallelQuery workers
+// Deterministic seeded chaos backend. Thread-safe (parallel Query workers
 // share one instance).
 class FaultInjectingStorageEnv : public StorageEnv {
  public:

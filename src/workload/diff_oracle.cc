@@ -139,7 +139,7 @@ QueryHits ReferenceHits(const std::vector<std::string>& lines,
 }
 
 // Hit-for-hit comparison; nullopt when equal, else a first-divergence
-// description. `got` is sorted by line number first (ParallelQuery merges
+// description. `got` is sorted by line number first (a parallel Query merges
 // per-block slices whose concatenation is already ordered, but the oracle
 // must not depend on that).
 std::optional<std::string> DiffHits(const QueryHits& expected,
@@ -258,6 +258,8 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
            options.modes.end();
   };
   const bool want_recovery = wants_mode(OracleMode::kPostRecovery);
+  QueryOptions parallel;
+  parallel.threads = options.parallel_threads;
 
   for (size_t d = 0; d < options.num_datasets; ++d) {
     // --- Build the workload for one sampled dataset. ---
@@ -389,8 +391,7 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
               return archive->Query(command);
             }
             case OracleMode::kParallel:
-              return archive->ParallelQuery(command,
-                                            options.parallel_threads);
+              return archive->Query(command, parallel);
             case OracleMode::kPostRecovery:
               return recovered->Query(command);
             case OracleMode::kSession: {
@@ -581,6 +582,8 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
   OracleReport report;
   report.seed = options.seed;
   Rng rng(options.seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);
+  QueryOptions parallel;
+  parallel.threads = options.parallel_threads;
 
   const std::string scratch_root =
       options.scratch_dir.empty()
@@ -811,7 +814,7 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
     if (wants_mode(FederationMode::kParallel)) {
       ++report.checks_run;
       Result<SetQueryResult> got =
-          set->ParallelQuery(cmd.command, cmd.pred, options.parallel_threads);
+          set->Query(cmd.command, cmd.pred, parallel);
       if (!got.ok()) {
         note("fed-parallel", cmd, "query failed: " + got.status().ToString());
       } else {

@@ -10,7 +10,7 @@
 //     (src/query/line_match.h, the single definition of query semantics)
 //     line by line;
 //   * system under test: the real archive/engine, in each execution mode
-//     (cold open, warm cache, QuerySession refinement, ParallelQuery
+//     (cold open, warm cache, QuerySession refinement, parallel Query
 //     workers, and a post-crash-recovery reopen) —
 // and the hit lists must agree hit for hit (line numbers AND text). The
 // explain layer is cross-checked too: Explain() must return the same hits
@@ -38,7 +38,7 @@ enum class OracleMode {
                   // QueryCache warm)
   kSession,       // QuerySession per block, exercising incremental
                   // refinement for conjunctive commands
-  kParallel,      // LogArchive::ParallelQuery on a worker pool
+  kParallel,      // LogArchive::Query with QueryOptions.threads workers
   kPostRecovery,  // archive reopened after a commit aborted mid-protocol
 };
 
@@ -107,15 +107,15 @@ OracleReport RunDifferentialOracle(const OracleOptions& options);
 //   * monolith: one LogArchive holding the same blocks in the same global
 //     order (full-scatter commands must agree hit text for hit text, and
 //     cold-for-cold on the deterministic count stats);
-//   * federation: ArchiveSet::Query / ParallelQuery / Explain across modes,
-//     including a corrupt-shard -> degraded 206 -> repair -> exact
+//   * federation: ArchiveSet::Query (serial and parallel) / Explain across
+//     modes, including a corrupt-shard -> degraded 206 -> repair -> exact
 //     convergence cycle.
 // Zero mismatches over pinned seeds is the federation's correctness gate.
 
 enum class FederationMode {
   kCold,       // fresh ArchiveSet::Open per command, empty caches
   kWarm,       // persistent set, second execution compared
-  kParallel,   // ArchiveSet::ParallelQuery scatter on a worker pool
+  kParallel,   // ArchiveSet::Query scatter on QueryOptions.threads workers
   kPostRepair, // corrupt one shard, expect exact degraded hits, repair,
                // expect exact convergence
 };

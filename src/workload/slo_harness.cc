@@ -26,12 +26,6 @@ namespace loggrep {
 
 namespace {
 
-void AppendUint(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
 void AppendDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);

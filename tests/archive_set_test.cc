@@ -147,15 +147,18 @@ TEST(SetManifestTest, RoundTripPreservesFullU64Precision) {
   shards[1].min_ts_ns = UINT64_MAX;
   shards[1].max_ts_ns = 0;
 
-  const std::string bytes = ArchiveSet::SerializeSetManifest(
-      3'600'000'000'000ull, 6, 6 * ArchiveSet::kShardLineSpan + 1, shards);
-  uint64_t span = 0, next_id = 0, next_base = 0;
+  ArchiveSet::SetManifestHeader header;
+  header.window_span_ns = 3'600'000'000'000ull;
+  header.next_shard_id = 6;
+  header.next_line_base = 6 * ArchiveSet::kShardLineSpan + 1;
+  const std::string bytes = ArchiveSet::SerializeSetManifest(header, shards);
+  ArchiveSet::SetManifestHeader parsed_header;
   Result<std::vector<ShardInfo>> parsed =
-      ArchiveSet::ParseSetManifest(bytes, &span, &next_id, &next_base);
+      ArchiveSet::ParseSetManifest(bytes, &parsed_header);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(span, 3'600'000'000'000ull);
-  EXPECT_EQ(next_id, 6u);
-  EXPECT_EQ(next_base, 6 * ArchiveSet::kShardLineSpan + 1);
+  EXPECT_EQ(parsed_header.window_span_ns, 3'600'000'000'000ull);
+  EXPECT_EQ(parsed_header.next_shard_id, 6u);
+  EXPECT_EQ(parsed_header.next_line_base, 6 * ArchiveSet::kShardLineSpan + 1);
   ASSERT_EQ(parsed->size(), 2u);
   EXPECT_EQ((*parsed)[0].tenant, "acme web");
   EXPECT_EQ((*parsed)[0].min_ts_ns, 1'750'000'000'000'000'001ull);
@@ -166,42 +169,30 @@ TEST(SetManifestTest, RoundTripPreservesFullU64Precision) {
 }
 
 TEST(SetManifestTest, HostileBytesRejectedCleanly) {
-  uint64_t span, id, base;
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("", &span, &id, &base).ok());
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("not json", &span, &id, &base).ok());
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("[]", &span, &id, &base).ok());
-  EXPECT_FALSE(
-      ArchiveSet::ParseSetManifest("{\"version\":99,\"shards\":[]}", &span,
-                                   &id, &base)
-          .ok());
+  const auto parses = [](std::string_view bytes) {
+    ArchiveSet::SetManifestHeader header;
+    return ArchiveSet::ParseSetManifest(bytes, &header).ok();
+  };
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses("not json"));
+  EXPECT_FALSE(parses("[]"));
+  EXPECT_FALSE(parses("{\"version\":99,\"shards\":[]}"));
   // Shard without id.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"shards\":[{\"dir\":\"shard-0-x\"}]}",
-                   &span, &id, &base)
-                   .ok());
+  EXPECT_FALSE(parses("{\"version\":1,\"shards\":[{\"dir\":\"shard-0-x\"}]}"));
   // Unsafe dir name.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"1\","
-                   "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
-                   "\"dir\":\"../../etc\"}]}",
-                   &span, &id, &base)
-                   .ok());
+  EXPECT_FALSE(parses("{\"version\":1,\"next_shard_id\":\"1\","
+                      "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
+                      "\"dir\":\"../../etc\"}]}"));
   // Expired but not sealed.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"1\","
-                   "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
-                   "\"dir\":\"shard-000000-x\",\"expired\":true}]}",
-                   &span, &id, &base)
-                   .ok());
+  EXPECT_FALSE(parses("{\"version\":1,\"next_shard_id\":\"1\","
+                      "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
+                      "\"dir\":\"shard-000000-x\",\"expired\":true}]}"));
   // Non-increasing ids.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"9\","
-                   "\"next_line_base\":\"9\",\"shards\":["
-                   "{\"id\":\"3\",\"dir\":\"shard-000003-x\",\"line_base\":"
-                   "\"1\"},{\"id\":\"3\",\"dir\":\"shard-000003-y\","
-                   "\"line_base\":\"2\"}]}",
-                   &span, &id, &base)
-                   .ok());
+  EXPECT_FALSE(parses("{\"version\":1,\"next_shard_id\":\"9\","
+                      "\"next_line_base\":\"9\",\"shards\":["
+                      "{\"id\":\"3\",\"dir\":\"shard-000003-x\",\"line_base\":"
+                      "\"1\"},{\"id\":\"3\",\"dir\":\"shard-000003-y\","
+                      "\"line_base\":\"2\"}]}"));
 }
 
 // ---- ingest + routing ------------------------------------------------------
@@ -396,7 +387,7 @@ TEST(ArchiveSetTest, TimePredicateSkipsSealedOutOfRangeShards) {
 TEST(ArchiveSetTest, ParallelQueryMatchesSerial) {
   FederatedFixture fx = BuildTwoByTwo("parallel");
   auto serial = fx.set->Query("shared-token", {});
-  auto parallel = fx.set->ParallelQuery("shared-token", {}, 4);
+  auto parallel = fx.set->Query("shared-token", {}, {.threads = 4});
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(serial->hits, parallel->hits);

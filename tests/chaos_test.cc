@@ -234,7 +234,8 @@ TEST_F(ChaosTest, ZeroFaultRunsMatchTheReferenceHitForHit) {
         ExpectHitsEqual(expected, r->hits,
                         command + (run == 0 ? " [cold]" : " [warm]"));
       }
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par =
+          archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
       ExpectHitsEqual(expected, par->hits, command + " [parallel]");
@@ -306,7 +307,8 @@ TEST_F(ChaosTest, TransientFaultStormsConvergeToTheReferenceViaRetries) {
           << "transient faults must never degrade: " << r->partial.Render();
       ExpectHitsEqual(expected, r->hits, command + " [transient storm]");
 
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par =
+          archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
       ExpectHitsEqual(expected, par->hits,
@@ -382,7 +384,8 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
         EXPECT_EQ(f.seq, kSickSeq);
         EXPECT_FALSE(f.newly_quarantined) << "hole re-discovered, not skipped";
       }
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par =
+          archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       ExpectHitsEqual(expected, par->hits,
                       command + " [standing hole, parallel]");
@@ -702,7 +705,7 @@ TEST_F(ChaosTest, FederationDegradesToHealthyShardsThenRepairsExactly) {
       Result<SetQueryResult> r = set->Query(command, {});
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ExpectHitsEqual(expected, r->hits, command + " [federated hole]");
-      Result<SetQueryResult> par = set->ParallelQuery(command, {}, 3);
+      Result<SetQueryResult> par = set->Query(command, {}, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       ExpectHitsEqual(expected, par->hits,
                       command + " [federated hole, parallel]");

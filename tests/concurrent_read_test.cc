@@ -165,7 +165,7 @@ TEST(ConcurrentReadTest, SetReadersMatchReferenceUnderAppendCompactRetain) {
       o.done_before = finished.load();
       Result<SetQueryResult> result =
           iter % 2 == 0 ? set.Query(commands[c])
-                        : set.ParallelQuery(commands[c], {}, 2);
+                        : set.Query(commands[c], {}, {.threads = 2});
       o.started_after = started.load();
       if (!result.ok()) {
         errors[r] = commands[c] + ": " + result.status().ToString();

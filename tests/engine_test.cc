@@ -335,7 +335,7 @@ MetricsRegistry& SharedMetrics() {
 
 TEST(EngineTest, SharedBoxCacheAcrossEngines) {
   // Two engines wired to one external BoxCache: what one engine opens and
-  // decompresses is warm for the other (the ParallelQuery arrangement).
+  // decompresses is warm for the other (the parallel Query arrangement).
   BoxCacheOptions cache_options;
   MetricsRegistry& metrics = SharedMetrics();
   cache_options.metrics = &metrics;

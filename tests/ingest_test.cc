@@ -135,7 +135,7 @@ TEST_F(LogIngestorTest, MatchesSerialAppendBlockHitForHit) {
         std::string("zzzNOSUCH")}) {
     auto want = serial->Query(query);
     auto got = pipelined->Query(query);
-    auto got_parallel = pipelined->ParallelQuery(query, 4);
+    auto got_parallel = pipelined->Query(query, {.threads = 4});
     ASSERT_TRUE(want.ok()) << query;
     ASSERT_TRUE(got.ok()) << query;
     ASSERT_TRUE(got_parallel.ok()) << query;
@@ -144,7 +144,7 @@ TEST_F(LogIngestorTest, MatchesSerialAppendBlockHitForHit) {
       EXPECT_EQ(got->hits[i].first, want->hits[i].first) << query;
       EXPECT_EQ(got->hits[i].second, want->hits[i].second) << query;
     }
-    // ParallelQuery must agree hit-for-hit with serial Query too.
+    // A parallel Query must agree hit-for-hit with serial Query too.
     ASSERT_EQ(got_parallel->hits.size(), got->hits.size()) << query;
     for (size_t i = 0; i < got->hits.size(); ++i) {
       EXPECT_EQ(got_parallel->hits[i].first, got->hits[i].first) << query;

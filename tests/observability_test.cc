@@ -544,7 +544,7 @@ TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
 
   Tracer::Global().Clear();
   Tracer::Global().Enable(true);
-  auto result = archive->ParallelQuery("statusfine", 2);
+  auto result = archive->Query("statusfine", {.threads = 2});
   Tracer::Global().Enable(false);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->hits.size(), 200u);
@@ -553,7 +553,7 @@ TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
   const TraceEvent* parallel = nullptr;
   for (const TraceEvent& e : events) {
     if (e.name != nullptr &&
-        std::string_view(e.name) == "archive.parallel_query") {
+        std::string_view(e.name) == "archive.query") {
       parallel = &e;
     }
   }
@@ -562,7 +562,7 @@ TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
   size_t stitched_blocks = 0;
   for (const TraceEvent& e : events) {
     if (e.name != nullptr && std::string_view(e.name) == "archive.query_block") {
-      // Worker spans nest under the parallel-query span across threads.
+      // Worker spans nest under the archive.query span across threads.
       EXPECT_EQ(e.parent_id, parallel->span_id);
       EXPECT_NE(e.tid, parallel->tid);
       ++stitched_blocks;
@@ -572,7 +572,7 @@ TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
 
   const std::string json = Tracer::Global().ExportChromeJson();
   ExpectBalancedJson(json);
-  EXPECT_NE(json.find("archive.parallel_query"), std::string::npos);
+  EXPECT_NE(json.find("\"archive.query\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("pool-worker-"), std::string::npos);

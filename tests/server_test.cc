@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cctype>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -618,6 +619,97 @@ TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->http_status, 500) << strict->body;
   EXPECT_FALSE(strict->error.empty());
+}
+
+// The layout every /query and /explain body shares, whatever the handle
+// kind: it parses, the hit list is followed directly by "stats" (clients
+// such as perfbench locate the stats by that adjacency), the stats are one
+// flat object of the 15 counters, and "shards" appears exactly for sets.
+void ExpectResponseLayout(const ServiceResponse& response, bool is_set) {
+  const std::string& body = response.body;
+  Result<JsonValue> doc = ParseJson(body);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << body;
+  const size_t hits_at = body.find("\"hits\":[");
+  ASSERT_NE(hits_at, std::string::npos) << body;
+  const size_t list_at = hits_at + 7;
+  const size_t stats_at = body.find("],\"stats\":{", list_at);
+  ASSERT_NE(stats_at, std::string::npos) << body;
+  Result<JsonValue> hits = ParseJson(
+      std::string_view(body).substr(list_at, stats_at + 1 - list_at));
+  ASSERT_TRUE(hits.ok()) << "hit list does not end at \"stats\": " << body;
+  EXPECT_EQ(hits->AsArray().size(), doc->Get("hits").AsArray().size());
+
+  const std::map<std::string, JsonValue>& stats =
+      doc->Get("stats").AsObject();
+  static const char* const kStatsFields[] = {
+      "blocks_pruned",      "blocks_queried",        "blocks_from_cache",
+      "bytes_decompressed", "bytes_saved",           "cache_hits",
+      "cache_misses",       "capsules_decompressed", "capsules_stamp_filtered",
+      "decompress_ns",      "open_ns",               "prune_ns",
+      "reconstruct_ns",     "scan_ns",               "stamp_filter_ns"};
+  EXPECT_EQ(stats.size(), std::size(kStatsFields)) << body;
+  for (const char* field : kStatsFields) {
+    const auto it = stats.find(field);
+    ASSERT_NE(it, stats.end()) << field << " missing in " << body;
+    EXPECT_EQ(it->second.kind(), JsonValue::Kind::kNumber) << field;
+  }
+  EXPECT_EQ(doc->Get("shards").is_object(), is_set) << body;
+  EXPECT_EQ(body.find("\"shards\":") != std::string::npos, is_set) << body;
+  EXPECT_EQ(doc->Get("complete").AsBool(), response.http_status == 200);
+}
+
+TEST_F(ServerTest, ArchivesAndSetsShareOneResponseLayout) {
+  FaultInjectingStorageEnv fault(FaultOptions{.seed = kSeed});
+  std::vector<AppendReceipt> receipts;
+  std::vector<std::vector<std::string>> row_lines;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFederatedSet(root_ + "/fedset", &receipts, &row_lines, &fault));
+  ServiceOptions options;
+  options.root = root_;
+  options.archive.env = &fault;
+  options.archive.retry.max_attempts = 2;
+  options.archive.box_cache_budget_bytes = 0;
+
+  const auto run = [](ArchiveService* service, const std::string& archive,
+                      const std::string& command, bool explain) {
+    ServiceRequest request;
+    request.archive = archive;
+    request.command = command;
+    request.explain = explain;
+    return service->Run(request);
+  };
+  {
+    ArchiveService service(options);
+    for (const bool explain : {false, true}) {
+      SCOPED_TRACE(explain ? "/explain" : "/query");
+      const ServiceResponse plain =
+          run(&service, "arch", commands_.front(), explain);
+      EXPECT_EQ(plain.http_status, 200) << plain.body;
+      ExpectResponseLayout(plain, /*is_set=*/false);
+      const ServiceResponse set =
+          run(&service, "fedset", "shared-token", explain);
+      EXPECT_EQ(set.http_status, 200) << set.body;
+      ExpectResponseLayout(set, /*is_set=*/true);
+    }
+  }
+
+  // Degraded: a sick block in the plain archive, a sick shard in the set.
+  fault.AddPermanentFault("block-1.lgc", StatusCode::kIOError);
+  fault.AddPermanentFault(
+      ShardDirName(receipts[1].shard_id, kFedRows[1].tenant),
+      StatusCode::kIOError);
+  ArchiveService service(options);
+  for (const bool explain : {false, true}) {
+    SCOPED_TRACE(explain ? "degraded /explain" : "degraded /query");
+    const ServiceResponse plain =
+        run(&service, "arch", AnchorKeyword(block_lines_[1]), explain);
+    EXPECT_EQ(plain.http_status, 206) << plain.body;
+    ExpectResponseLayout(plain, /*is_set=*/false);
+    const ServiceResponse set =
+        run(&service, "fedset", "shared-token", explain);
+    EXPECT_EQ(set.http_status, 206) << set.body;
+    ExpectResponseLayout(set, /*is_set=*/true);
+  }
 }
 
 TEST_F(ServerTest, AdmissionControlShedsLoadWith429) {

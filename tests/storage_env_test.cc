@@ -447,7 +447,17 @@ TEST_F(StorageEnvTest, QuarantineParseRejectsGarbageCleanly) {
        {"", "{", "not json", "{\"version\":1}", "{\"version\":9,\"blocks\":[]}",
         "{\"version\":1,\"blocks\":[{}]}",
         "{\"version\":1,\"blocks\":[{\"seq\":99999999999}]}",
-        "{\"version\":1,\"blocks\":[]}trailing"}) {
+        "{\"version\":1,\"blocks\":[]}trailing",
+        // Out-of-range and non-integer numbers must not wrap or truncate
+        // onto a real block: 2^64+1 once read back as seq 1.
+        "{\"version\":1,\"blocks\":[{\"seq\":18446744073709551617}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":1,"
+        "\"quarantined_unix\":18446744073709551621}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":1.5}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":-1}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":\"3\"}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":1,"
+        "\"quarantined_unix\":1e300}]}"}) {
     auto parsed = ParseQuarantineJson(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
     if (!parsed.ok()) {

@@ -331,7 +331,7 @@ TEST_F(LogArchiveTest, ParallelQueryMatchesSerial) {
        {std::string("Failed password and 183.62.140.253"),
         std::string("sshd not preauth"), std::string("zzzNOSUCH")}) {
     auto serial = archive->Query(query);
-    auto parallel = archive->ParallelQuery(query, 4);
+    auto parallel = archive->Query(query, {.threads = 4});
     ASSERT_TRUE(serial.ok()) << query;
     ASSERT_TRUE(parallel.ok()) << query;
     ASSERT_EQ(serial->hits.size(), parallel->hits.size()) << query;
@@ -496,7 +496,7 @@ TEST_F(LogArchiveTest, GlobalLineNumbersPastFourBillionDoNotWrap) {
   EXPECT_EQ(archive->blocks()[1].first_line, kFarStart);
 
   for (const bool parallel : {false, true}) {
-    auto result = parallel ? archive->ParallelQuery("kappa", 2)
+    auto result = parallel ? archive->Query("kappa", {.threads = 2})
                            : archive->Query("kappa");
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->hits.size(), 2u);
@@ -561,8 +561,8 @@ TEST_F(LogArchiveTest, WarmQueriesSkipBlockFilesEntirely) {
   ASSERT_EQ(warm->hits.size(), 2u);
   EXPECT_GT(warm->locator.cache_hits, 0u);
   EXPECT_GT(warm->locator.bytes_saved, 0u);
-  // ParallelQuery workers share the same cache and also never touch disk.
-  auto parallel = archive->ParallelQuery("sigma", 2);
+  // Parallel Query workers share the same cache and also never touch disk.
+  auto parallel = archive->Query("sigma", {.threads = 2});
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(parallel->hits.size(), 2u);
 }
@@ -580,7 +580,7 @@ TEST_F(LogArchiveTest, CacheDisabledArchiveStillAnswersCorrectly) {
     ASSERT_EQ(result->hits.size(), 1u);
     EXPECT_EQ(result->hits[0].second, "plain entry chi 1");
   }
-  auto parallel = archive->ParallelQuery("chi", 2);
+  auto parallel = archive->Query("chi", {.threads = 2});
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->hits.size(), 1u);
 }
@@ -606,7 +606,7 @@ TEST_F(LogArchiveTest, ParallelAndSerialAgreeOnDeterministicStats) {
        {std::string("Failed password"), std::string("sshd and Accepted"),
         std::string("session or preauth")}) {
     auto serial = serial_archive->Query(query);
-    auto parallel = parallel_archive->ParallelQuery(query, 4);
+    auto parallel = parallel_archive->Query(query, {.threads = 4});
     ASSERT_TRUE(serial.ok()) << query;
     ASSERT_TRUE(parallel.ok()) << query;
     ASSERT_EQ(serial->hits, parallel->hits) << query;
