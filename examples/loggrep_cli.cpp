@@ -1,42 +1,41 @@
 // loggrep_cli: a grep-for-compressed-logs command line tool over real files.
 //
-//   loggrep_cli compress <input.log> <output.lgc>
-//   loggrep_cli grep <block.lgc> "<query command>"
-//   loggrep_cli stat <block.lgc>
-//   loggrep_cli demo <output.lgc>          (writes a synthetic sample block)
-//   loggrep_cli archive-ingest <dir> <input.log>   (append a block)
-//   loggrep_cli archive-grep <dir> "<query>"       (query with block pruning)
-//   loggrep_cli archive-stat <dir>
-//   loggrep_cli ingest <dir> <input.log|-> [block_mb] [threads]
-//       (streaming pipelined ingest; '-' reads stdin; prints IngestMetrics)
-//   loggrep_cli explain <block.lgc|archive-dir> "<query>"
-//       (per-block / per-variable / per-Capsule decision tree; exits
-//        non-zero if the pruned+cached+decompressed==visited invariant
-//        fails)
-//   loggrep_cli metrics <block.lgc|archive-dir> "<query>"
-//       (runs the query, then prints the metrics registry in Prometheus
-//        exposition format — or JSON with --stats-json)
+// A <target> is any stored form: a regular file is one CapsuleBox (.lgc); a
+// directory is an archive, or a federated ArchiveSet root when it holds a
+// set_manifest.json. Directories are queried through the same ArchiveService
+// code loggrepd runs (open, sniff, predicate check, explain, status).
 //
-//   loggrep_cli repair <dir>
-//       (re-verifies quarantined blocks; reinstates healthy ones,
-//        tombstones the rest)
+//   loggrep_cli compress <input.log> <output.lgc>
+//   loggrep_cli demo <output.lgc>          (writes a synthetic sample block)
+//   loggrep_cli ingest <dir> <input.log|-> [block_mb] [threads]
+//       (streaming pipelined ingest into an archive, created if missing;
+//        '-' reads stdin; prints IngestMetrics)
 //   loggrep_cli set-ingest <root> <tenant> <input.log> [ts_ns]
 //       (appends to the tenant's active shard of the ArchiveSet at root,
 //        creating the set / rolling shards as needed)
-//   loggrep_cli set-query <root> "<query>" [tenant|-] [from_ns] [to_ns]
-//       (federated query across shards; tenant "-" = all tenants; the
-//        time range prunes whole shards before the scatter)
-//   loggrep_cli set-repair <root>
-//       (fleet-level repair: re-verifies quarantined blocks in every shard)
-//   loggrep_cli set-stat <root>
-//       (per-shard table: tenant, window, lines, bytes, sealed/expired)
+//   loggrep_cli grep <target> "<query>" [tenant|-] [from_ns] [to_ns]
+//       (prints the matching lines as line:text; on a set, the tenant ("-" =
+//        all) and the inclusive event-time range prune whole shards before
+//        the scatter; a box or plain archive ignores them, as loggrepd does)
+//   loggrep_cli explain <target> "<query>" [tenant|-] [from_ns] [to_ns]
+//       (per-shard / per-block / per-variable / per-Capsule decision tree;
+//        exits 1 if the pruned+cached+decompressed==visited invariant fails)
+//   loggrep_cli metrics <target> "<query>" [tenant|-] [from_ns] [to_ns]
+//       (runs the query, then prints the metrics registry in Prometheus
+//        exposition format — or JSON with --stats-json)
+//   loggrep_cli stat <target>
+//       (box: templates and groups; archive: per-block table; set: per-shard
+//        table and per-tenant compaction debt)
+//   loggrep_cli verify <dir>
+//   loggrep_cli repair <dir|root>
+//       (re-verifies quarantined blocks, in every shard of a set; reinstates
+//        healthy ones, tombstones the rest)
+//   loggrep_cli set-compact <root>
 //   loggrep_cli serve <root-dir> [port] [threads] [max_inflight]
 //       (runs loggrepd: serves every archive under root-dir over HTTP;
 //        prints the bound port; SIGTERM/SIGINT drain gracefully)
 //   loggrep_cli remote-query <host:port> <archive> "<query>"
-//       (queries a running loggrepd; prints hits; exit code follows the
-//        same 0/3/1 contract as local queries — see
-//        src/server/archive_service.h for the HTTP mapping)
+//       (queries a running loggrepd; prints hits like grep)
 //
 // Global flags (any subcommand):
 //   --stats-json     emit registry counters+histograms as sorted-key JSON
@@ -48,7 +47,9 @@
 //
 // Exit codes: 0 = success, 1 = error, 2 = usage, 3 = PARTIAL (the query
 // succeeded but one or more quarantined blocks left holes in the result —
-// scripts must be able to tell a complete answer from a degraded one).
+// scripts must be able to tell a complete answer from a degraded one). Query
+// verbs, local or remote, map their outcome through the one contract in
+// src/server/archive_service.h.
 //
 // Query commands follow §3: search strings joined by AND / OR / NOT,
 // wildcards ('*', '?') within a single token, e.g.
@@ -74,6 +75,7 @@
 #include "src/core/engine.h"
 #include "src/ingest/log_ingestor.h"
 #include "src/query/explain.h"
+#include "src/server/archive_service.h"
 #include "src/server/client.h"
 #include "src/server/daemon.h"
 #include "src/store/archive_set.h"
@@ -92,22 +94,18 @@ using namespace loggrep;
 MetricsRegistry g_metrics;
 bool g_stats_json = false;
 // --no-degrade: strict complete-or-error queries. Locally this sets
-// QueryOptions::degrade = false; against a daemon it sends
-// ?degrade=0 — the same contract either way (a block failure or standing
-// quarantined hole is exit 1 / HTTP 500 instead of exit 3 / HTTP 206).
+// ServiceRequest::degrade = false; against a daemon it sends ?degrade=0 —
+// the same contract either way (a block failure or standing quarantined
+// hole is exit 1 / HTTP 500 instead of exit 3 / HTTP 206).
 bool g_no_degrade = false;
 
-// Exit code for a query that succeeded but is missing quarantined blocks.
+// Exit code for a repair that left tombstoned holes (the contract's
+// "partial").
 constexpr int kExitPartial = 3;
 
-// Prints the partial report (if any) to stderr and maps the result to the
-// process exit code: complete -> 0, degraded -> kExitPartial.
-int FinishQuery(const ArchiveQueryResult& result) {
-  if (!result.partial.partial()) {
-    return 0;
-  }
-  std::fprintf(stderr, "%s", result.partial.Render().c_str());
-  return kExitPartial;
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 EngineOptions CliEngineOptions() {
@@ -123,9 +121,9 @@ ArchiveOptions CliArchiveOptions() {
   return opts;
 }
 
-QueryOptions CliQueryOptions() {
-  QueryOptions opts;
-  opts.degrade = !g_no_degrade;
+ArchiveSetOptions CliSetOptions() {
+  ArchiveSetOptions opts;
+  opts.archive = CliArchiveOptions();
   return opts;
 }
 
@@ -135,16 +133,14 @@ void MaybePrintStatsJson() {
   }
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
+Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
+    return IOError("cannot open " + path);
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  *out = ss.str();
-  return true;
+  return ss.str();
 }
 
 bool WriteFile(const std::string& path, const std::string& data) {
@@ -158,60 +154,26 @@ bool WriteFile(const std::string& path, const std::string& data) {
 }
 
 int Compress(const std::string& in_path, const std::string& out_path) {
-  std::string raw;
-  if (!ReadFile(in_path, &raw)) {
-    return 1;
+  Result<std::string> raw = ReadFile(in_path);
+  if (!raw.ok()) {
+    return Fail(raw.status());
   }
   LogGrepEngine engine;
-  const std::string box = engine.CompressBlock(raw);
+  const std::string box = engine.CompressBlock(*raw);
   if (!WriteFile(out_path, box)) {
     return 1;
   }
-  std::printf("%zu -> %zu bytes (ratio %.2fx)\n", raw.size(), box.size(),
-              box.empty() ? 0.0 : static_cast<double>(raw.size()) / box.size());
+  std::printf("%zu -> %zu bytes (ratio %.2fx)\n", raw->size(), box.size(),
+              box.empty() ? 0.0 : static_cast<double>(raw->size()) / box.size());
   return 0;
 }
 
-int Grep(const std::string& archive_path, const std::string& command) {
-  std::string box;
-  if (!ReadFile(archive_path, &box)) {
-    return 1;
+int BoxStat(const std::string& path) {
+  Result<std::string> bytes = ReadFile(path);
+  if (!bytes.ok()) {
+    return Fail(bytes.status());
   }
-  LogGrepEngine engine(CliEngineOptions());
-  auto result = engine.Query(box, command);
-  if (!result.ok()) {
-    std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  for (const auto& [line, text] : result->hits) {
-    std::printf("%llu:%s\n", static_cast<unsigned long long>(line + 1),
-                text.c_str());
-  }
-  std::fprintf(stderr, "%zu matching entries (%llu capsules decompressed, "
-               "%llu filtered by stamps)\n",
-               result->hits.size(),
-               static_cast<unsigned long long>(
-                   result->locator.capsules_decompressed),
-               static_cast<unsigned long long>(
-                   result->locator.capsules_stamp_filtered));
-  std::fprintf(stderr,
-               "stages (ms): open %.2f  scan %.2f  stamp %.2f  "
-               "decompress %.2f  reconstruct %.2f\n",
-               result->locator.open_nanos / 1e6,
-               result->locator.scan_nanos / 1e6,
-               result->locator.stamp_filter_nanos / 1e6,
-               result->locator.decompress_nanos / 1e6,
-               result->locator.reconstruct_nanos / 1e6);
-  MaybePrintStatsJson();
-  return 0;
-}
-
-int Stat(const std::string& archive_path) {
-  std::string bytes;
-  if (!ReadFile(archive_path, &bytes)) {
-    return 1;
-  }
-  auto box = CapsuleBox::Open(bytes);
+  auto box = CapsuleBox::Open(*bytes);
   if (!box.ok()) {
     std::fprintf(stderr, "not a capsule box: %s\n",
                  box.status().ToString().c_str());
@@ -265,33 +227,6 @@ int Demo(const std::string& out_path) {
   return rc;
 }
 
-Result<LogArchive> OpenOrCreateArchive(const std::string& dir) {
-  if (std::filesystem::exists(dir + "/archive.manifest")) {
-    return LogArchive::Open(dir);
-  }
-  return LogArchive::Create(dir);
-}
-
-int ArchiveIngest(const std::string& dir, const std::string& in_path) {
-  std::string raw;
-  if (!ReadFile(in_path, &raw)) {
-    return 1;
-  }
-  auto archive = OpenOrCreateArchive(dir);
-  if (!archive.ok()) {
-    std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = archive->AppendBlock(raw); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("block %zu ingested: %zu bytes raw, archive now %llu lines\n",
-              archive->blocks().size() - 1, raw.size(),
-              static_cast<unsigned long long>(archive->total_lines()));
-  return 0;
-}
-
 // Streaming pipelined ingest: reads `in_path` (or stdin when "-") in fixed
 // chunks and feeds them to a LogIngestor, then prints the metrics snapshot.
 int Ingest(const std::string& dir, const std::string& in_path,
@@ -302,8 +237,7 @@ int Ingest(const std::string& dir, const std::string& in_path,
   options.metrics = &g_metrics;
   auto ingestor = LogIngestor::Start(dir, options);
   if (!ingestor.ok()) {
-    std::fprintf(stderr, "%s\n", ingestor.status().ToString().c_str());
-    return 1;
+    return Fail(ingestor.status());
   }
 
   std::ifstream file;
@@ -327,13 +261,11 @@ int Ingest(const std::string& dir, const std::string& in_path,
     if (Status s = (*ingestor)->Append(
             std::string_view(chunk.data(), static_cast<size_t>(got)));
         !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
+      return Fail(s);
     }
   }
   if (Status s = (*ingestor)->Finish(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+    return Fail(s);
   }
 
   const IngestMetrics m = (*ingestor)->metrics();
@@ -359,122 +291,111 @@ int Ingest(const std::string& dir, const std::string& in_path,
   return 0;
 }
 
-int ArchiveGrep(const std::string& dir, const std::string& command) {
-  auto archive = LogArchive::Open(dir, CliArchiveOptions());
-  if (!archive.ok()) {
-    std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
-    return 1;
+// Runs one query verb's request against `target`. A regular file is one
+// CapsuleBox answered by the engine; like a plain archive it has no tenant or
+// time, so the predicates are ignored. Anything else is a directory served by
+// an ArchiveService rooted at it, through the code loggrepd runs.
+Result<QueryOutcome> RunQuery(const std::string& target,
+                              const ServiceRequest& request) {
+  if (!std::filesystem::is_regular_file(target)) {
+    ServiceOptions options;
+    options.root = target;
+    options.archive = CliArchiveOptions();
+    return ArchiveService(std::move(options)).Query(request);
   }
-  auto result = archive->Query(command, CliQueryOptions());
+  Result<std::string> box = ReadFile(target);
+  if (!box.ok()) {
+    return box.status();
+  }
+  QueryExplain tree;
+  tree.command = request.command;
+  BlockExplain* block =
+      request.explain ? &tree.blocks.emplace_back() : nullptr;
+  LogGrepEngine engine(CliEngineOptions());
+  Result<QueryResult> result = engine.Query(*box, request.command, block);
   if (!result.ok()) {
-    std::fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
-    return 1;
+    return result.status();
   }
-  for (const auto& [line, text] : result->hits) {
+  QueryOutcome outcome;
+  outcome.result.hits = std::move(result->hits);
+  outcome.result.blocks_queried = 1;
+  outcome.result.blocks_from_cache = result->from_cache ? 1 : 0;
+  outcome.result.locator = result->locator;
+  if (block != nullptr) {
+    outcome.explain = SummarizeExplain(tree);
+  }
+  return outcome;
+}
+
+void PrintHits(const QueryHits& hits) {
+  for (const auto& [line, text] : hits) {
     std::printf("%llu:%s\n", static_cast<unsigned long long>(line + 1),
                 text.c_str());
   }
-  std::fprintf(stderr, "%zu hits; %u blocks pruned, %u queried\n",
-               result->hits.size(), result->blocks_pruned,
-               result->blocks_queried);
+}
+
+// The stderr summary of every query verb, whatever the target kind; only a
+// set has the shard line.
+void PrintSummary(const QueryOutcome& outcome) {
+  const SetQueryResult& r = outcome.result;
+  const LocatorStats& s = r.locator;
+  std::fprintf(stderr, "%zu hits; blocks: %u pruned, %u queried, %u cached\n",
+               r.hits.size(), r.blocks_pruned, r.blocks_queried,
+               r.blocks_from_cache);
+  if (outcome.is_set) {
+    std::fprintf(stderr, "shards: %u pruned, %u visited, %u failed of %u\n",
+                 r.shards_pruned, r.shards_visited, r.shards_failed,
+                 r.shards_total);
+  }
   std::fprintf(stderr,
                "stages (ms): prune %.2f  open %.2f  scan %.2f  stamp %.2f  "
                "decompress %.2f  reconstruct %.2f\n",
-               result->locator.prune_nanos / 1e6,
-               result->locator.open_nanos / 1e6,
-               result->locator.scan_nanos / 1e6,
-               result->locator.stamp_filter_nanos / 1e6,
-               result->locator.decompress_nanos / 1e6,
-               result->locator.reconstruct_nanos / 1e6);
+               s.prune_nanos / 1e6, s.open_nanos / 1e6, s.scan_nanos / 1e6,
+               s.stamp_filter_nanos / 1e6, s.decompress_nanos / 1e6,
+               s.reconstruct_nanos / 1e6);
   std::fprintf(stderr,
+               "capsules: %llu decompressed, %llu filtered by stamps; "
                "cache: %llu hits, %llu misses, %.1f MB saved\n",
-               static_cast<unsigned long long>(result->locator.cache_hits),
-               static_cast<unsigned long long>(result->locator.cache_misses),
-               result->locator.bytes_saved / 1e6);
-  MaybePrintStatsJson();
-  return FinishQuery(*result);
+               static_cast<unsigned long long>(s.capsules_decompressed),
+               static_cast<unsigned long long>(s.capsules_stamp_filtered),
+               static_cast<unsigned long long>(s.cache_hits),
+               static_cast<unsigned long long>(s.cache_misses),
+               s.bytes_saved / 1e6);
+  if (!r.complete()) {
+    std::fputs(r.RenderPartial().c_str(), stderr);
+  }
 }
 
-// Runs the query with the shared registry attached and prints the registry
-// afterwards — Prometheus exposition text by default, sorted-key JSON with
-// --stats-json. Works against a single .lgc block or an archive directory.
-int Metrics(const std::string& target, const std::string& command) {
-  if (std::filesystem::is_directory(target)) {
-    auto archive = LogArchive::Open(target, CliArchiveOptions());
-    if (!archive.ok()) {
-      std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
-      return 1;
-    }
-    auto result = archive->Query(command, CliQueryOptions());
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "%zu hits over %u blocks\n", result->hits.size(),
-                 result->blocks_queried);
-  } else {
-    std::string box;
-    if (!ReadFile(target, &box)) {
-      return 1;
-    }
-    LogGrepEngine engine(CliEngineOptions());
-    auto result = engine.Query(box, command);
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "%zu hits\n", result->hits.size());
+// grep, explain and metrics share one run and one summary; each prints its
+// own stdout (the hit lines, the decision tree, the registry). Explain also
+// gates on the pruned+cached+decompressed==visited invariant.
+int QueryVerb(const std::string& verb, const std::string& target,
+              const ServiceRequest& request) {
+  Result<QueryOutcome> outcome = RunQuery(target, request);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "query failed: %s\n",
+                 outcome.status().ToString().c_str());
+    return ExitCodeForHttpStatus(HttpStatusForQueryError(outcome.status()));
   }
-  const std::string out =
-      g_stats_json ? ExportJson(g_metrics) + "\n" : ExportPrometheus(g_metrics);
-  std::fputs(out.c_str(), stdout);
-  return 0;
-}
-
-// Renders the per-block / per-variable-vector / per-Capsule decision tree
-// and enforces the accounting invariant (non-zero exit on imbalance).
-int Explain(const std::string& target, const std::string& command) {
-  QueryExplain qe;
-  int query_rc = 0;
-  if (std::filesystem::is_directory(target)) {
-    auto archive = LogArchive::Open(target, CliArchiveOptions());
-    if (!archive.ok()) {
-      std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
-      return 1;
-    }
-    auto result = archive->Explain(command, &qe, CliQueryOptions());
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    query_rc = FinishQuery(*result);
-  } else {
-    std::string box;
-    if (!ReadFile(target, &box)) {
-      return 1;
-    }
-    qe.command = command;
-    qe.blocks.emplace_back();
-    LogGrepEngine engine(CliEngineOptions());
-    auto result = engine.ExplainQuery(box, command, &qe.blocks[0]);
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
+  if (verb == "grep") {
+    PrintHits(outcome->result.hits);
+  } else if (verb == "explain") {
+    std::fputs(outcome->explain->render.c_str(), stdout);
   }
-  std::fputs(qe.Render().c_str(), stdout);
-  std::string detail;
-  if (!qe.CheckInvariant(&detail)) {
+  PrintSummary(*outcome);
+  if (outcome->explain && !outcome->explain->invariant_ok) {
     std::fprintf(stderr, "explain accounting invariant VIOLATED: %s\n",
-                 detail.c_str());
+                 outcome->explain->invariant_detail.c_str());
     return 1;
   }
-  MaybePrintStatsJson();
-  return query_rc;
+  if (verb == "metrics") {
+    const std::string out = g_stats_json ? ExportJson(g_metrics) + "\n"
+                                         : ExportPrometheus(g_metrics);
+    std::fputs(out.c_str(), stdout);
+  } else {
+    MaybePrintStatsJson();
+  }
+  return ExitCodeForHttpStatus(HttpStatusForQuery(outcome->result));
 }
 
 // fsck: re-hash stored bytes, decompress every Capsule, reconstruct every
@@ -494,42 +415,52 @@ int Verify(const std::string& dir) {
   return report.ok() ? 0 : 1;
 }
 
-// Self-healing pass: re-verify every quarantined block; reinstate the
-// healthy, tombstone the rest. Exit 0 when every examined block was
-// reinstated (or none were quarantined), 3 when tombstoned holes remain.
-int Repair(const std::string& dir) {
-  const RepairReport report = RepairArchive(dir);
-  std::printf("%s\n", report.Summary().c_str());
-  if (!report.ok()) {
-    return 1;
+bool IsSetRoot(const std::string& dir) {
+  return std::filesystem::exists(ArchiveSet::SetManifestPath(dir));
+}
+
+// Self-healing pass: re-verify every quarantined block (in every live shard
+// of a set); reinstate the healthy, tombstone the rest. Exit 0 when every
+// examined block was reinstated (or none were quarantined), 3 when
+// tombstoned holes remain.
+int Repair(const std::string& target) {
+  const auto finish = [](const auto& report) {
+    std::printf("%s\n", report.Summary().c_str());
+    if (!report.ok()) {
+      return 1;
+    }
+    return report.tombstoned == 0 ? 0 : kExitPartial;
+  };
+  if (!IsSetRoot(target)) {
+    return finish(RepairArchive(target));
   }
-  return report.tombstoned == 0 ? 0 : kExitPartial;
+  auto set = ArchiveSet::Open(target, CliSetOptions());
+  if (!set.ok()) {
+    return Fail(set.status());
+  }
+  return finish((*set)->RepairAll());
 }
 
 Result<std::unique_ptr<ArchiveSet>> OpenOrCreateSet(const std::string& root) {
-  ArchiveSetOptions options;
-  options.archive = CliArchiveOptions();
-  if (std::filesystem::exists(ArchiveSet::SetManifestPath(root))) {
-    return ArchiveSet::Open(root, options);
+  if (IsSetRoot(root)) {
+    return ArchiveSet::Open(root, CliSetOptions());
   }
-  return ArchiveSet::Create(root, options);
+  return ArchiveSet::Create(root, CliSetOptions());
 }
 
 int SetIngest(const std::string& root, const std::string& tenant,
               const std::string& in_path, uint64_t ts_ns) {
-  std::string raw;
-  if (!ReadFile(in_path, &raw)) {
-    return 1;
+  Result<std::string> raw = ReadFile(in_path);
+  if (!raw.ok()) {
+    return Fail(raw.status());
   }
   auto set = OpenOrCreateSet(root);
   if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
+    return Fail(set.status());
   }
-  auto receipt = (*set)->Append(tenant, raw, ts_ns);
+  auto receipt = (*set)->Append(tenant, *raw, ts_ns);
   if (!receipt.ok()) {
-    std::fprintf(stderr, "%s\n", receipt.status().ToString().c_str());
-    return 1;
+    return Fail(receipt.status());
   }
   std::printf("shard %llu (%s%s): %llu lines at global line %llu; "
               "set now %zu live shards, %llu lines\n",
@@ -546,71 +477,10 @@ int SetIngest(const std::string& root, const std::string& tenant,
   return 0;
 }
 
-int SetQuery(const std::string& root, const std::string& command,
-             const std::string& tenant, uint64_t from_ns, uint64_t to_ns) {
-  ArchiveSetOptions options;
-  options.archive = CliArchiveOptions();
-  auto set = ArchiveSet::Open(root, options);
-  if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
-  }
-  SetQueryPredicate pred;
-  if (!tenant.empty() && tenant != "-") {
-    pred.tenant = tenant;
-  }
-  pred.from_ns = from_ns;
-  pred.to_ns = to_ns;
-  auto result = (*set)->Query(command, pred, CliQueryOptions());
-  if (!result.ok()) {
-    std::fprintf(stderr, "query failed: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-  for (const auto& [line, text] : result->hits) {
-    std::printf("%llu:%s\n", static_cast<unsigned long long>(line + 1),
-                text.c_str());
-  }
-  std::fprintf(stderr,
-               "%zu hits; shards: %llu pruned, %llu visited, %llu failed "
-               "of %llu; blocks: %u pruned, %u queried\n",
-               result->hits.size(),
-               static_cast<unsigned long long>(result->shards_pruned),
-               static_cast<unsigned long long>(result->shards_visited),
-               static_cast<unsigned long long>(result->shards_failed),
-               static_cast<unsigned long long>(result->shards_total),
-               result->blocks_pruned, result->blocks_queried);
-  MaybePrintStatsJson();
-  if (!result->complete()) {
-    std::fprintf(stderr, "%s", result->RenderPartial().c_str());
-    return kExitPartial;
-  }
-  return 0;
-}
-
-int SetRepair(const std::string& root) {
-  ArchiveSetOptions options;
-  options.archive = CliArchiveOptions();
-  auto set = ArchiveSet::Open(root, options);
-  if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
-  }
-  const SetRepairReport report = (*set)->RepairAll();
-  std::printf("%s\n", report.Summary().c_str());
-  if (!report.ok()) {
-    return 1;
-  }
-  return report.tombstoned == 0 ? 0 : kExitPartial;
-}
-
 int SetCompact(const std::string& root) {
-  ArchiveSetOptions options;
-  options.archive = CliArchiveOptions();
-  auto set = ArchiveSet::Open(root, options);
+  auto set = ArchiveSet::Open(root, CliSetOptions());
   if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
+    return Fail(set.status());
   }
   const SetCompactionReport report = (*set)->Compact();
   std::printf("%s\n", report.Summary().c_str());
@@ -618,12 +488,9 @@ int SetCompact(const std::string& root) {
 }
 
 int SetStat(const std::string& root) {
-  ArchiveSetOptions options;
-  options.archive = CliArchiveOptions();
-  auto set = ArchiveSet::Open(root, options);
+  auto set = ArchiveSet::Open(root, CliSetOptions());
   if (!set.ok()) {
-    std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
-    return 1;
+    return Fail(set.status());
   }
   if (Status s = (*set)->RefreshStats(); !s.ok()) {
     std::fprintf(stderr, "warning: stale stats: %s\n", s.ToString().c_str());
@@ -700,8 +567,7 @@ int Serve(const std::string& root, uint16_t port, size_t threads,
   LoggrepDaemon daemon(options);
   auto bound = daemon.Start();
   if (!bound.ok()) {
-    std::fprintf(stderr, "%s\n", bound.status().ToString().c_str());
-    return 1;
+    return Fail(bound.status());
   }
   std::printf("loggrepd listening on %s:%u (root %s, %zu threads, "
               "max %zu in-flight queries)\n",
@@ -719,9 +585,8 @@ int Serve(const std::string& root, uint16_t port, size_t threads,
   return 0;
 }
 
-// Queries a running daemon; renders hits + partial report exactly like
-// archive-grep and exits by the shared contract (200 -> 0, 206 -> 3,
-// anything else -> 1).
+// Queries a running daemon; prints hits like grep and exits by the shared
+// contract (200 -> 0, 206 -> 3, anything else -> 1).
 int RemoteQuery(const std::string& endpoint, const std::string& archive,
                 const std::string& command) {
   const size_t colon = endpoint.rfind(':');
@@ -749,10 +614,7 @@ int RemoteQuery(const std::string& endpoint, const std::string& archive,
                  result->error.c_str());
     return ExitCodeForHttpStatus(result->http_status);
   }
-  for (const auto& [line, text] : result->hits) {
-    std::printf("%llu:%s\n", static_cast<unsigned long long>(line + 1),
-                text.c_str());
-  }
+  PrintHits(result->hits);
   std::fprintf(stderr, "%zu hits (HTTP %d%s)\n", result->hits.size(),
                result->http_status,
                result->complete ? "" : ", PARTIAL");
@@ -766,8 +628,7 @@ int RemoteQuery(const std::string& endpoint, const std::string& archive,
 int ArchiveStat(const std::string& dir) {
   auto archive = LogArchive::Open(dir);
   if (!archive.ok()) {
-    std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
-    return 1;
+    return Fail(archive.status());
   }
   std::printf("blocks: %zu  lines: %llu  raw: %.1f MB  stored: %.1f MB "
               "(ratio %.2fx)\n",
@@ -791,33 +652,33 @@ int ArchiveStat(const std::string& dir) {
   return 0;
 }
 
+int Stat(const std::string& target) {
+  if (std::filesystem::is_regular_file(target)) {
+    return BoxStat(target);
+  }
+  return IsSetRoot(target) ? SetStat(target) : ArchiveStat(target);
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  loggrep_cli compress <input.log> <output.lgc>\n"
-               "  loggrep_cli grep <block.lgc> \"<query>\"\n"
-               "  loggrep_cli stat <block.lgc>\n"
                "  loggrep_cli demo <output.lgc>\n"
-               "  loggrep_cli archive-ingest <dir> <input.log>\n"
-               "  loggrep_cli archive-grep <dir> \"<query>\"\n"
-               "  loggrep_cli archive-stat <dir>\n"
-               "  loggrep_cli verify <dir>\n"
-               "  loggrep_cli repair <dir>\n"
-               "  loggrep_cli set-ingest <root> <tenant> <input.log> "
-               "[ts_ns]\n"
-               "  loggrep_cli set-query <root> \"<query>\" [tenant|-] "
-               "[from_ns] [to_ns]\n"
-               "  loggrep_cli set-repair <root>\n"
-               "  loggrep_cli set-compact <root>\n"
-               "  loggrep_cli set-stat <root>\n"
                "  loggrep_cli ingest <dir> <input.log|-> [block_mb] "
                "[threads]\n"
-               "  loggrep_cli explain <block.lgc|archive-dir> \"<query>\"\n"
-               "  loggrep_cli metrics <block.lgc|archive-dir> \"<query>\"\n"
+               "  loggrep_cli set-ingest <root> <tenant> <input.log> "
+               "[ts_ns]\n"
+               "  loggrep_cli grep|explain|metrics <target> \"<query>\" "
+               "[tenant|-] [from_ns] [to_ns]\n"
+               "  loggrep_cli stat <target>\n"
+               "  loggrep_cli verify <dir>\n"
+               "  loggrep_cli repair <dir|root>\n"
+               "  loggrep_cli set-compact <root>\n"
                "  loggrep_cli serve <root-dir> [port] [threads] "
                "[max_inflight]\n"
                "  loggrep_cli remote-query <host:port> <archive> "
                "\"<query>\"\n"
+               "<target>: a .lgc box file, an archive dir or a set root\n"
                "flags: --stats-json   --trace=<file>   --no-degrade\n"
                "serve flags: --access-log=<path> (JSON-lines per-request "
                "log)   --slow-ms=<n> (slow-query capture threshold)\n"
@@ -869,23 +730,28 @@ int main(int raw_argc, char** raw_argv) {
   if (cmd == "compress" && argc == 4) {
     return finish(Compress(argv[2], argv[3]));
   }
-  if (cmd == "grep" && argc == 4) {
-    return finish(Grep(argv[2], argv[3]));
+  if ((cmd == "grep" || cmd == "explain" || cmd == "metrics") && argc >= 4 &&
+      argc <= 7) {
+    ServiceRequest request;
+    request.command = argv[3];
+    if (argc >= 5 && std::string_view(argv[4]) != "-") {
+      request.tenant = argv[4];
+    }
+    if (argc >= 6) {
+      request.from_ns = std::strtoull(argv[5], nullptr, 10);
+    }
+    if (argc >= 7) {
+      request.to_ns = std::strtoull(argv[6], nullptr, 10);
+    }
+    request.explain = cmd == "explain";
+    request.degrade = !g_no_degrade;
+    return finish(QueryVerb(cmd, argv[2], request));
   }
   if (cmd == "stat" && argc == 3) {
     return finish(Stat(argv[2]));
   }
   if (cmd == "demo" && argc == 3) {
     return finish(Demo(argv[2]));
-  }
-  if (cmd == "archive-ingest" && argc == 4) {
-    return finish(ArchiveIngest(argv[2], argv[3]));
-  }
-  if (cmd == "archive-grep" && argc == 4) {
-    return finish(ArchiveGrep(argv[2], argv[3]));
-  }
-  if (cmd == "archive-stat" && argc == 3) {
-    return finish(ArchiveStat(argv[2]));
   }
   if (cmd == "verify" && argc == 3) {
     return finish(Verify(argv[2]));
@@ -898,28 +764,8 @@ int main(int raw_argc, char** raw_argv) {
         argc == 6 ? std::strtoull(argv[5], nullptr, 10) : 0;
     return finish(SetIngest(argv[2], argv[3], argv[4], ts_ns));
   }
-  if (cmd == "set-query" && argc >= 4 && argc <= 7) {
-    const std::string tenant = argc >= 5 ? argv[4] : "-";
-    const uint64_t from_ns =
-        argc >= 6 ? std::strtoull(argv[5], nullptr, 10) : 0;
-    const uint64_t to_ns =
-        argc >= 7 ? std::strtoull(argv[6], nullptr, 10) : UINT64_MAX;
-    return finish(SetQuery(argv[2], argv[3], tenant, from_ns, to_ns));
-  }
-  if (cmd == "set-repair" && argc == 3) {
-    return finish(SetRepair(argv[2]));
-  }
   if (cmd == "set-compact" && argc == 3) {
     return finish(SetCompact(argv[2]));
-  }
-  if (cmd == "set-stat" && argc == 3) {
-    return finish(SetStat(argv[2]));
-  }
-  if (cmd == "explain" && argc == 4) {
-    return finish(Explain(argv[2], argv[3]));
-  }
-  if (cmd == "metrics" && argc == 4) {
-    return finish(Metrics(argv[2], argv[3]));
   }
   if (cmd == "serve" && argc >= 3 && argc <= 6) {
     const int port = argc >= 4 ? std::atoi(argv[3]) : 0;

@@ -49,7 +49,8 @@ int main() {
                     result->locator.capsules_stamp_filtered));
     // Hits carry the original line number and the byte-exact original text.
     for (size_t i = 0; i < result->hits.size() && i < 3; ++i) {
-      std::printf("  line %6u: %s\n", result->hits[i].first,
+      std::printf("  line %6llu: %s\n",
+                  static_cast<unsigned long long>(result->hits[i].first),
                   result->hits[i].second.c_str());
     }
     std::printf("\n");

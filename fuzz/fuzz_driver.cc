@@ -159,7 +159,9 @@ int LoggrepFuzzMain(int argc, char** argv) {
     } else if (fs::is_regular_file(arg)) {
       corpus.push_back(ReadWhole(arg));
     } else {
-      std::fprintf(stderr, "fuzz: ignoring missing input %s\n", arg.c_str());
+      // A misspelled or renamed corpus must fail loudly, not replay nothing.
+      std::fprintf(stderr, "fuzz: no such input %s\n", arg.c_str());
+      return 2;
     }
   }
   if (corpus.empty()) {

@@ -78,4 +78,19 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ParallelFor(size_t n, size_t threads,
+                 const std::function<void(size_t)>& fn) {
+  if (threads <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  ThreadPool pool(std::min(threads, n));
+  for (size_t i = 0; i < n; ++i) {
+    pool.Submit([&fn, i] { fn(i); });
+  }
+  pool.Wait();
+}
+
 }  // namespace loggrep

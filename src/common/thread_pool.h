@@ -44,6 +44,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+// Runs fn(0) .. fn(n - 1) and returns when every call has finished: on a
+// pool of min(threads, n) workers built for this call when threads > 1 and
+// n > 1, else serially on the calling thread. Calls may run in any order.
+void ParallelFor(size_t n, size_t threads,
+                 const std::function<void(size_t)>& fn);
+
 }  // namespace loggrep
 
 #endif  // SRC_COMMON_THREAD_POOL_H_

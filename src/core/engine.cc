@@ -155,29 +155,17 @@ std::string LogGrepEngine::CompressBlock(std::string_view text) const {
 }
 
 Result<QueryResult> LogGrepEngine::Query(std::string_view box_bytes,
-                                         std::string_view command) {
+                                         std::string_view command,
+                                         BlockExplain* explain) {
   return QueryInternal(BoxKey::FromBytes(box_bytes), box_bytes, nullptr,
-                       command, nullptr);
+                       command, explain);
 }
 
 Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
                                             const BoxLoader& load,
-                                            std::string_view command) {
-  return QueryInternal(key, std::string_view(), &load, command, nullptr);
-}
-
-Result<QueryResult> LogGrepEngine::ExplainQuery(std::string_view box_bytes,
-                                                std::string_view command,
-                                                BlockExplain* block) {
-  return QueryInternal(BoxKey::FromBytes(box_bytes), box_bytes, nullptr,
-                       command, block);
-}
-
-Result<QueryResult> LogGrepEngine::ExplainBox(const BoxKey& key,
-                                              const BoxLoader& load,
-                                              std::string_view command,
-                                              BlockExplain* block) {
-  return QueryInternal(key, std::string_view(), &load, command, block);
+                                            std::string_view command,
+                                            BlockExplain* explain) {
+  return QueryInternal(key, std::string_view(), &load, command, explain);
 }
 
 Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,

@@ -80,25 +80,20 @@ class LogGrepEngine {
   std::string CompressBlock(std::string_view text) const;
 
   // Runs a grep-like query command against a CapsuleBox. Box identity is
-  // content-derived (BoxKey::FromBytes).
-  Result<QueryResult> Query(std::string_view box_bytes, std::string_view command);
+  // content-derived (BoxKey::FromBytes). A non-null `explain` records the
+  // per-variable-vector, per-Capsule decision tree (src/query/explain.h);
+  // explained executions bypass the command-level QueryCache in both
+  // directions, since the record must describe a real execution.
+  Result<QueryResult> Query(std::string_view box_bytes,
+                            std::string_view command,
+                            BlockExplain* explain = nullptr);
 
   // Same, but with an externally assigned identity and a lazy loader: on a
   // warm box-cache entry the loader is never invoked, so callers that read
   // box bytes from disk (LogArchive) skip the file read entirely.
   Result<QueryResult> QueryBox(const BoxKey& key, const BoxLoader& load,
-                               std::string_view command);
-
-  // Explain variants: run the query with a recorder attached, filling
-  // `block` with the per-variable-vector, per-Capsule decision tree (see
-  // src/query/explain.h). Explained executions bypass the command-level
-  // QueryCache in both directions — the record must describe a real
-  // execution. `block` must be non-null.
-  Result<QueryResult> ExplainQuery(std::string_view box_bytes,
-                                   std::string_view command,
-                                   BlockExplain* block);
-  Result<QueryResult> ExplainBox(const BoxKey& key, const BoxLoader& load,
-                                 std::string_view command, BlockExplain* block);
+                               std::string_view command,
+                               BlockExplain* explain = nullptr);
 
   // Thread-safety: the query entry points may run concurrently (the command
   // cache and the BoxCache are both synchronized); CompressBlock is const.

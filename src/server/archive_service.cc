@@ -1,11 +1,9 @@
 #include "src/server/archive_service.h"
 
-#include <optional>
 #include <utility>
 
 #include "src/common/json.h"
 #include "src/common/trace.h"
-#include "src/query/explain.h"
 
 namespace loggrep {
 
@@ -73,24 +71,6 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
     out->push_back('}');
   }
   out->append("]}");
-}
-
-// The explain fields of a response, summarized once per /explain request
-// from either tree kind (QueryExplain or SetExplain).
-struct ExplainSection {
-  bool invariant_ok = true;
-  std::string invariant_detail;
-  ExplainTotals totals;
-  std::string render;
-};
-
-template <typename Tree>
-ExplainSection SummarizeExplain(const Tree& tree) {
-  ExplainSection section;
-  section.invariant_ok = tree.CheckInvariant(&section.invariant_detail);
-  section.totals = tree.Totals();
-  section.render = tree.Render();
-  return section;
 }
 
 // The /query (and /explain) success body of both handle kinds. Shape:
@@ -196,10 +176,8 @@ ServiceResponse ErrorResponse(const Status& status) {
 // A plain archive's answer, moved into the set result shape (no shards, no
 // shard holes). A plain archive has no tenant or time dimension, so those
 // request predicates are ignored.
-Result<SetQueryResult> QueryArchive(LogArchive* archive,
-                                    const ServiceRequest& request,
-                                    const QueryOptions& options,
-                                    std::optional<ExplainSection>* explain) {
+Status QueryArchive(LogArchive* archive, const ServiceRequest& request,
+                    const QueryOptions& options, QueryOutcome* outcome) {
   QueryExplain tree;
   Result<ArchiveQueryResult> result =
       request.explain ? archive->Explain(request.command, &tree, options)
@@ -208,18 +186,16 @@ Result<SetQueryResult> QueryArchive(LogArchive* archive,
     return result.status();
   }
   if (request.explain) {
-    explain->emplace(SummarizeExplain(tree));
+    outcome->explain.emplace(SummarizeExplain(tree));
   }
-  SetQueryResult moved;
-  static_cast<ArchiveQueryResult&>(moved) = std::move(*result);
-  return moved;
+  static_cast<ArchiveQueryResult&>(outcome->result) = std::move(*result);
+  return OkStatus();
 }
 
 // Federated execution: the predicates prune shards, the rest scatters
 // across the set's shards.
-Result<SetQueryResult> QuerySet(ArchiveSet* set, const ServiceRequest& request,
-                                const QueryOptions& options,
-                                std::optional<ExplainSection>* explain) {
+Status QuerySet(ArchiveSet* set, const ServiceRequest& request,
+                const QueryOptions& options, QueryOutcome* outcome) {
   SetQueryPredicate pred;
   if (!request.tenant.empty()) {
     pred.tenant = request.tenant;
@@ -233,10 +209,14 @@ Result<SetQueryResult> QuerySet(ArchiveSet* set, const ServiceRequest& request,
   Result<SetQueryResult> result =
       request.explain ? set->Explain(request.command, pred, &tree, options)
                       : set->Query(request.command, pred, options);
-  if (result.ok() && request.explain) {
-    explain->emplace(SummarizeExplain(tree));
+  if (!result.ok()) {
+    return result.status();
   }
-  return result;
+  if (request.explain) {
+    outcome->explain.emplace(SummarizeExplain(tree));
+  }
+  outcome->result = std::move(*result);
+  return OkStatus();
 }
 
 }  // namespace
@@ -264,6 +244,10 @@ std::string ResolveArchivePath(const std::string& root, std::string_view name) {
     rest.remove_prefix(slash + 1);
   }
   return root + "/" + std::string(name);
+}
+
+int HttpStatusForQuery(const SetQueryResult& result) {
+  return result.complete() ? 200 : 206;
 }
 
 int HttpStatusForQueryError(const Status& status) {
@@ -335,39 +319,48 @@ Result<std::shared_ptr<ArchiveService::Handle>> ArchiveService::GetOrOpen(
   return handle;
 }
 
-ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
-  const TraceSpan span("server.run_query", "server");
+Result<QueryOutcome> ArchiveService::Query(const ServiceRequest& request) {
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(request.archive);
   if (!handle.ok()) {
-    return ErrorResponse(handle.status());
+    return handle.status();
   }
-
   // Per-request knobs travel by value: they govern this execution only. The
   // deadline feeds the RetryBudget every storage retry in this query checks.
   QueryOptions options;
   options.degrade = request.degrade;
   options.deadline_ns = request.deadline_ms * 1'000'000ull;
   const Handle& h = **handle;
-  std::optional<ExplainSection> explain;
-  Result<SetQueryResult> result =
-      h.set != nullptr
-          ? QuerySet(h.set.get(), request, options, &explain)
-          : QueryArchive(h.archive.get(), request, options, &explain);
-  if (!result.ok()) {
-    return ErrorResponse(result.status());
+  QueryOutcome outcome;
+  outcome.is_set = h.set != nullptr;
+  const Status status =
+      outcome.is_set
+          ? QuerySet(h.set.get(), request, options, &outcome)
+          : QueryArchive(h.archive.get(), request, options, &outcome);
+  if (!status.ok()) {
+    return status;
   }
+  return outcome;
+}
 
+ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
+  const TraceSpan span("server.run_query", "server");
+  Result<QueryOutcome> outcome = Query(request);
+  if (!outcome.ok()) {
+    return ErrorResponse(outcome.status());
+  }
+  const SetQueryResult& result = outcome->result;
   ServiceResponse response;
-  response.degraded = !result->complete();
-  response.http_status = response.degraded ? 206 : 200;
-  response.body = RenderQueryJson(*result, /*is_set=*/h.set != nullptr,
-                                  explain ? &*explain : nullptr);
-  response.stats.hits = result->hits.size();
-  response.stats.blocks_queried = result->blocks_queried;
-  response.stats.blocks_from_cache = result->blocks_from_cache;
-  response.stats.locator = result->locator;
-  if (explain) {
-    response.explain_render = std::move(explain->render);
+  response.http_status = HttpStatusForQuery(result);
+  response.degraded = response.http_status == 206;
+  response.body = RenderQueryJson(
+      result, outcome->is_set,
+      outcome->explain ? &*outcome->explain : nullptr);
+  response.stats.hits = result.hits.size();
+  response.stats.blocks_queried = result.blocks_queried;
+  response.stats.blocks_from_cache = result.blocks_from_cache;
+  response.stats.locator = result.locator;
+  if (outcome->explain) {
+    response.explain_render = std::move(outcome->explain->render);
   }
   return response;
 }

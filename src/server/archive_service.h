@@ -17,7 +17,8 @@
 // the only concurrency limit.
 //
 // This header is also the single home of the status contract shared by the
-// CLI and the HTTP API (see HttpStatusForQuery / ExitCodeForHttpStatus):
+// CLI and the HTTP API (see HttpStatusForQuery, HttpStatusForQueryError and
+// ExitCodeForHttpStatus):
 //
 //   query outcome                      CLI exit     HTTP
 //   ------------------------------     --------     -----------------------
@@ -48,9 +49,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "src/query/explain.h"
 #include "src/store/archive_set.h"
 #include "src/store/log_archive.h"
 #include "src/store/shard_router.h"
@@ -115,23 +118,59 @@ struct ServiceResponse {
   std::string explain_render;
 };
 
+// The explain fields of a response, summarized once per explained request
+// from either tree kind (QueryExplain or SetExplain).
+struct ExplainSection {
+  bool invariant_ok = true;
+  std::string invariant_detail;
+  ExplainTotals totals;
+  std::string render;
+};
+
+template <typename Tree>
+ExplainSection SummarizeExplain(const Tree& tree) {
+  ExplainSection section;
+  section.invariant_ok = tree.CheckInvariant(&section.invariant_detail);
+  section.totals = tree.Totals();
+  section.render = tree.Render();
+  return section;
+}
+
+// The query half of one request, before any rendering: the answer (a plain
+// archive's result is moved into the set shape), whether a set produced it,
+// and the explain summary when the request asked for one.
+struct QueryOutcome {
+  SetQueryResult result;
+  bool is_set = false;
+  std::optional<ExplainSection> explain;
+};
+
 // Resolves `name` under `root`, rejecting absolute paths and any ".."
 // component. Returns the joined path; empty string on rejection.
 std::string ResolveArchivePath(const std::string& root, std::string_view name);
 
+// Maps a query answer to the HTTP status in the table above: 200 when it is
+// complete, 206 when holes degraded it.
+int HttpStatusForQuery(const SetQueryResult& result);
 // Maps a failed query Status to the HTTP status in the table above.
 int HttpStatusForQueryError(const Status& status);
 // Maps an HTTP status back to the CLI exit-code contract (0 ok, 3 partial,
-// 1 error) — used by `loggrep_cli remote-query` so scripting against the
-// daemon and against local archives reads identically.
+// 1 error) — used by every `loggrep_cli` query verb, local or remote, so
+// scripting against the daemon and against local targets reads identically.
 int ExitCodeForHttpStatus(int http_status);
 
 class ArchiveService {
  public:
   explicit ArchiveService(ServiceOptions options);
 
-  // Executes one query/explain request end-to-end and renders the JSON
-  // response. Thread-safe; requests on the same archive run concurrently.
+  // The query half of Run: opens (or reuses) the request's handle, checks
+  // the request against the handle kind (from > to is an error on sets
+  // only) and runs the query or explain. `loggrep_cli` calls it directly.
+  // Thread-safe; requests on the same archive run concurrently.
+  Result<QueryOutcome> Query(const ServiceRequest& request);
+
+  // Query plus the render half: the JSON body, the status mapping and the
+  // access-log stats.
   ServiceResponse Run(const ServiceRequest& request);
 
   // Admin: runs one compaction pass over the named ArchiveSet with the

@@ -388,7 +388,7 @@ HttpResponse LoggrepDaemon::Route(const HttpRequest& request,
     if (archive_it != request.params.end()) {
       archive = archive_it->second;
     }
-    rec->archive = archive;
+    rec->request.archive = archive;
     metrics_->GetOrCreate("server.compaction_requests")->Increment();
     ServiceResponse service_response = service_->Compact(archive);
     HttpResponse response;
@@ -422,7 +422,7 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
   metrics_->GetOrCreate("server.inflight_hwm")
       ->UpdateMax(inflight_queries_.load(std::memory_order_relaxed));
 
-  ServiceRequest sr;
+  ServiceRequest& sr = rec->request;
   const auto archive_it = request.params.find("archive");
   if (archive_it != request.params.end()) {
     sr.archive = archive_it->second;
@@ -458,8 +458,6 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
   if (to != request.params.end()) {
     sr.to_ns = std::strtoull(to->second.c_str(), nullptr, 10);
   }
-  rec->archive = sr.archive;
-  rec->command = sr.command;
 
   ServiceResponse service_response = service_->Run(sr);
   if (service_response.http_status == 206) {
@@ -499,7 +497,7 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
   line.append(",\"path\":");
   AppendJsonString(&line, request != nullptr ? request->path : "");
   line.append(",\"archive\":");
-  AppendJsonString(&line, rec->archive);
+  AppendJsonString(&line, rec->request.archive);
   line.append(",\"status\":");
   AppendUint(&line, static_cast<uint64_t>(response.status));
   line.append(",\"bytes\":");
@@ -541,16 +539,16 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
   // work); requests with no command (metrics scrapes, health checks) have
   // no fate tree to capture.
   if (options_.slow_query_threshold_ns == 0 ||
-      dur_ns < options_.slow_query_threshold_ns || rec->command.empty() ||
-      rec->shed) {
+      dur_ns < options_.slow_query_threshold_ns ||
+      rec->request.command.empty() || rec->shed) {
     return;
   }
   SlowQueryEntry entry;
   entry.ts_ms = ts_ms;
   entry.request_id = rec->request_id;
   entry.rid64 = rec->rid64;
-  entry.archive = rec->archive;
-  entry.command = rec->command;
+  entry.archive = rec->request.archive;
+  entry.command = rec->request.command;
   entry.dur_ns = dur_ns;
   entry.status = response.status;
   if (!rec->explain_render.empty()) {
@@ -559,12 +557,14 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
     // Re-run with explain to get the fate tree. The slow run just warmed
     // the caches this re-run reads, so capture is cheap; what debugging
     // needs is the tree's *structure* (visited/pruned/cached), which the
-    // warm re-run preserves.
-    ServiceRequest sr;
-    sr.archive = rec->archive;
-    sr.command = rec->command;
+    // warm re-run preserves. It replays the whole request (predicates,
+    // degrade, deadline), so it prunes and fails exactly as the slow run did.
+    ServiceRequest sr = rec->request;
     sr.explain = true;
-    entry.explain_render = service_->Run(sr).explain_render;
+    Result<QueryOutcome> rerun = service_->Query(sr);
+    if (rerun.ok()) {
+      entry.explain_render = std::move(rerun->explain->render);
+    }
   }
   slow_log_->Record(std::move(entry));
   metrics_->GetOrCreate("server.slow_queries")->Increment();

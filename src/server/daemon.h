@@ -153,8 +153,9 @@ class LoggrepDaemon {
   struct RequestRecord {
     std::string request_id;
     uint64_t rid64 = 0;
-    std::string archive;
-    std::string command;
+    // The service request as parsed (archive and command are empty for
+    // endpoints that run none); slow-query capture replays it with explain.
+    ServiceRequest request;
     bool shed = false;      // bounced by admission control (429)
     bool degraded = false;  // 206 partial
     ServiceQueryStats stats;

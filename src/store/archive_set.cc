@@ -799,17 +799,8 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       slot.status = r.status();
     }
   };
-  if (options.threads > 1 && explain == nullptr && visits.size() > 1) {
-    ThreadPool pool(std::min(options.threads, visits.size()));
-    for (size_t v = 0; v < visits.size(); ++v) {
-      pool.Submit([&, v] { run_one(v); });
-    }
-    pool.Wait();
-  } else {
-    for (size_t v = 0; v < visits.size(); ++v) {
-      run_one(v);
-    }
-  }
+  ParallelFor(visits.size(), explain != nullptr ? 1 : options.threads,
+              run_one);
 
   // Gather in id order (visits preserve it), rebasing shard-local line
   // numbers onto each shard's global base.

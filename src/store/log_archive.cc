@@ -808,23 +808,12 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
     auto loader = [this, &block, &budget]() -> Result<std::string> {
       return LoadBlockBytes(block.seq, &budget);
     };
-    slots[i].emplace(
-        explain != nullptr
-            ? engine_->ExplainBox(KeyForBlock(block.seq), loader, command,
-                                  explain_of_seq.at(block.seq))
-            : engine_->QueryBox(KeyForBlock(block.seq), loader, command));
+    slots[i].emplace(engine_->QueryBox(
+        KeyForBlock(block.seq), loader, command,
+        explain != nullptr ? explain_of_seq.at(block.seq) : nullptr));
   };
-  if (options.threads > 1 && explain == nullptr && submitted.size() > 1) {
-    ThreadPool pool(std::min(options.threads, submitted.size()));
-    for (size_t i = 0; i < submitted.size(); ++i) {
-      pool.Submit([&run_one, i] { run_one(i); });
-    }
-    pool.Wait();
-  } else {
-    for (size_t i = 0; i < submitted.size(); ++i) {
-      run_one(i);
-    }
-  }
+  ParallelFor(submitted.size(), explain != nullptr ? 1 : options.threads,
+              run_one);
 
   // Gather in block order, rebasing block-local line numbers.
   for (size_t i = 0; i < submitted.size(); ++i) {

@@ -398,7 +398,7 @@ TEST(ExplainInvariantTest, HoldsOnEveryProductionDataset) {
     QueryExplain explain;
     explain.command = command;
     BlockExplain& block = explain.blocks.emplace_back();
-    auto result = engine.ExplainQuery(box, command, &block);
+    auto result = engine.Query(box, command, &block);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     std::string detail;
@@ -439,7 +439,7 @@ TEST(ExplainInvariantTest, ExplainBypassesQueryCache) {
   ASSERT_TRUE(warm.ok());
   QueryExplain explain;
   BlockExplain& block = explain.blocks.emplace_back();
-  auto result = engine.ExplainQuery(box, command, &block);
+  auto result = engine.Query(box, command, &block);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->from_cache);
   EXPECT_GT(explain.Totals().visited, 0u);

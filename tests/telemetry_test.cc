@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "src/server/daemon.h"
 #include "src/server/request_log.h"
 #include "src/server/telemetry.h"
+#include "src/store/archive_set.h"
 #include "src/store/log_archive.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
@@ -316,6 +318,68 @@ TEST_F(TelemetryServerTest, RequestIdEchoedMintedAndJoinsTheLogs) {
     }
   }
   EXPECT_TRUE(slow_found);
+}
+
+// Slow-query capture replays the request as it was served: its tenant
+// predicate prunes the same shards, and its degrade=0 fails the same way
+// instead of quarantining a block the served request left alone.
+TEST_F(TelemetryServerTest, SlowQueryCaptureReplaysTheWholeRequest) {
+  DatasetSpec spec = AllDatasets().front();
+  spec.seed = 42 * 1000003 + 1;  // the same text as "arch": command_ hits it
+  const std::string text = LogGenerator(spec).GenerateLines(300);
+  {
+    Result<std::unique_ptr<ArchiveSet>> set =
+        ArchiveSet::Create(root_ + "/set", {});
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    ASSERT_TRUE((*set)->Append("ta", text, 1000).ok());
+    ASSERT_TRUE((*set)->Append("tb", text, 1000).ok());
+  }
+  {
+    Result<LogArchive> bad = LogArchive::Create(root_ + "/bad", {});
+    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+    ASSERT_TRUE(bad->AppendBlock(text).ok());
+    ASSERT_TRUE(bad->AppendBlock(text).ok());
+  }
+  const std::string block = root_ + "/bad/block-1.lgc";
+  {
+    std::fstream f(block, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(block) / 2));
+    f.write("XXXXXXXXXXXXXXXX", 16);
+    ASSERT_TRUE(f.good());
+  }
+
+  DaemonOptions options = BaseOptions();
+  options.slow_query_threshold_ns = 1;  // capture every query
+  LoggrepDaemon daemon(std::move(options));
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  DaemonClient client("127.0.0.1", *port);
+  RemoteQueryOptions tenant_ta;
+  tenant_ta.tenant = "ta";
+  tenant_ta.request_id = "tenant-ta";
+  Result<RemoteQueryResult> r = client.Query("set", command_, tenant_ta);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->http_status, 200);
+  RemoteQueryOptions strict;
+  strict.degrade = false;
+  strict.request_id = "strict";
+  r = client.Query("bad", command_, strict);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->http_status, 500);
+  daemon.Shutdown();  // drains connections: every capture has run
+
+  std::map<std::string, SlowQueryEntry> captured;
+  for (SlowQueryEntry& entry : daemon.slow_log().Snapshot()) {
+    captured[entry.request_id] = std::move(entry);
+  }
+  ASSERT_EQ(captured.count("tenant-ta"), 1u);
+  const std::string& tree = captured["tenant-ta"].explain_render;
+  EXPECT_NE(tree.find("tenant 'ta': visited"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("tenant 'tb': pruned"), std::string::npos) << tree;
+  ASSERT_EQ(captured.count("strict"), 1u);
+  EXPECT_EQ(captured["strict"].status, 500);
+  EXPECT_FALSE(std::filesystem::exists(root_ + "/bad/quarantine.json"))
+      << "the capture re-run quarantined a block the strict request did not";
 }
 
 TEST_F(TelemetryServerTest, AccessLogWellFormedUnderConcurrentKeepAlive) {
