@@ -71,6 +71,7 @@
 #include "src/capsule/capsule_box.h"
 #include "src/common/metrics.h"
 #include "src/common/metrics_export.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 #include "src/core/engine.h"
 #include "src/ingest/log_ingestor.h"
@@ -117,7 +118,6 @@ EngineOptions CliEngineOptions() {
 ArchiveOptions CliArchiveOptions() {
   ArchiveOptions opts;
   opts.metrics = &g_metrics;
-  opts.engine.metrics = &g_metrics;
   return opts;
 }
 
@@ -737,11 +737,10 @@ int main(int raw_argc, char** raw_argv) {
     if (argc >= 5 && std::string_view(argv[4]) != "-") {
       request.tenant = argv[4];
     }
-    if (argc >= 6) {
-      request.from_ns = std::strtoull(argv[5], nullptr, 10);
-    }
-    if (argc >= 7) {
-      request.to_ns = std::strtoull(argv[6], nullptr, 10);
+    if ((argc >= 6 && !ParseUint64(argv[5], &request.from_ns)) ||
+        (argc >= 7 && !ParseUint64(argv[6], &request.to_ns))) {
+      std::fprintf(stderr, "from_ns/to_ns must be decimal numbers\n");
+      return finish(2);
     }
     request.explain = cmd == "explain";
     request.degrade = !g_no_degrade;
@@ -760,8 +759,11 @@ int main(int raw_argc, char** raw_argv) {
     return finish(Repair(argv[2]));
   }
   if (cmd == "set-ingest" && (argc == 5 || argc == 6)) {
-    const uint64_t ts_ns =
-        argc == 6 ? std::strtoull(argv[5], nullptr, 10) : 0;
+    uint64_t ts_ns = 0;
+    if (argc == 6 && !ParseUint64(argv[5], &ts_ns)) {
+      std::fprintf(stderr, "ts_ns must be a decimal number\n");
+      return finish(2);
+    }
     return finish(SetIngest(argv[2], argv[3], argv[4], ts_ns));
   }
   if (cmd == "set-compact" && argc == 3) {

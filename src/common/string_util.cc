@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 
 namespace loggrep {
 
@@ -22,6 +23,20 @@ std::vector<std::string_view> SplitNonEmpty(std::string_view text,
     }
   }
   return out;
+}
+
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  // from_chars takes no sign or space for unsigned types and fails on an
+  // empty string; a partly-parsed string fails the full-length check.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 std::vector<std::string_view> SplitKeepEmpty(std::string_view text, char delim) {

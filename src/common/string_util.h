@@ -2,6 +2,7 @@
 #ifndef SRC_COMMON_STRING_UTIL_H_
 #define SRC_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,11 @@ std::string DistinctNonAlnumChars(std::string_view s);
 
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
+
+// Parses all of `text` as a decimal uint64: digits only (no sign, no
+// space, no trailing bytes), and no overflow. Returns false on anything
+// else and leaves `out` untouched.
+bool ParseUint64(std::string_view text, uint64_t* out);
 
 // Population variance of the lengths of `values` (paper's "length variance").
 double LengthVariance(const std::vector<std::string>& values);

@@ -11,10 +11,6 @@
 namespace loggrep {
 namespace {
 
-inline uint64_t ElapsedNanos(const WallTimer& timer) {
-  return timer.ElapsedNanos();
-}
-
 // Boolean evaluation state: one RowSet per group plus one for raw outliers.
 struct Evaluation {
   std::vector<RowSet> groups;
@@ -251,7 +247,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
       local_box.emplace(std::move(*parsed));
       box = &*local_box;
     }
-    open_stats.open_nanos = ElapsedNanos(open_timer);
+    open_stats.open_nanos = open_timer.ElapsedNanos();
   }
 
   LocatorOptions lopts;
@@ -264,13 +260,23 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
     querier.AttachExplain(&*recorder);
   }
 
+  // Decodes and stamp checks are timed where they happen and charged to
+  // their own stages; each wall window below is charged only with the
+  // remainder, so the stages partition the query's time.
+  auto charged = [&querier] {
+    return querier.stats().decompress_nanos +
+           querier.stats().stamp_filter_nanos;
+  };
+  auto net = [](uint64_t window, uint64_t inside) {
+    return window > inside ? window - inside : 0;
+  };
   const WallTimer scan_timer;
   uint64_t scan_nanos = 0;
   Evaluation ev;
   {
     const TraceSpan scan_span("engine.scan", "query");
     ev = EvaluateExpr(querier, **expr);
-    scan_nanos = ElapsedNanos(scan_timer);
+    scan_nanos = net(scan_timer.ElapsedNanos(), charged());
   }
   if (!querier.status().ok()) {
     return querier.status();
@@ -282,6 +288,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
     // matching; attribute them to a dedicated stage.
     recorder->BeginStage("reconstruct");
   }
+  const uint64_t charged_before_reconstruct = charged();
   const WallTimer reconstruct_timer;
   Reconstructor reconstructor(&querier);
   QueryResult result;
@@ -304,14 +311,12 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   std::sort(result.hits.begin(), result.hits.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  const uint64_t reconstruct_nanos = net(
+      reconstruct_timer.ElapsedNanos(), charged() - charged_before_reconstruct);
   result.locator = querier.stats();
   result.locator.Accumulate(open_stats);
-  // The scan stage is the boolean evaluation minus the decompression and
-  // stamp checks it triggered (those are accounted to their own stages).
-  const uint64_t charged = result.locator.decompress_nanos +
-                           result.locator.stamp_filter_nanos;
-  result.locator.scan_nanos = scan_nanos > charged ? scan_nanos - charged : 0;
-  result.locator.reconstruct_nanos = ElapsedNanos(reconstruct_timer);
+  result.locator.scan_nanos = scan_nanos;
+  result.locator.reconstruct_nanos = reconstruct_nanos;
 
   if (explain != nullptr) {
     explain->hits = result.hits.size();

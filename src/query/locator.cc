@@ -11,10 +11,6 @@
 namespace loggrep {
 namespace {
 
-inline uint64_t ElapsedNanos(const WallTimer& timer) {
-  return timer.ElapsedNanos();
-}
-
 // Which stamp check rejected `keyword` (assumes the stamp did reject it):
 // the max-length bound or the character-class mask.
 CapsuleFate StampRejectFate(const CapsuleStamp& stamp, std::string_view keyword,
@@ -68,7 +64,7 @@ bool BoxQuerier::StampAdmits(const CapsuleStamp& stamp,
                              std::string_view keyword, bool wildcard_aware) {
   const WallTimer timer;
   const bool admits = stamp.AdmitsProbe(ProbeFor(keyword, wildcard_aware));
-  stats_.stamp_filter_nanos += ElapsedNanos(timer);
+  stats_.stamp_filter_nanos += timer.ElapsedNanos();
   return admits;
 }
 
@@ -82,7 +78,7 @@ const CachedCapsule* BoxQuerier::FetchCachedCapsule(uint32_t id) {
   const WallTimer timer;
   Result<std::shared_ptr<const CachedCapsule>> entry = cache_->GetOrLoadCapsule(
       key_, id, [this, id] { return box_.ReadCapsule(id); }, &was_hit);
-  stats_.decompress_nanos += ElapsedNanos(timer);
+  stats_.decompress_nanos += timer.ElapsedNanos();
   if (!entry.ok()) {
     LatchError(entry.status());
     return nullptr;
@@ -119,7 +115,7 @@ std::string_view BoxQuerier::CapsuleBlob(uint32_t id) {
   const TraceSpan span("locator.decompress", "query", "capsule", id);
   const WallTimer timer;
   Result<std::string> blob = box_.ReadCapsule(id);
-  stats_.decompress_nanos += ElapsedNanos(timer);
+  stats_.decompress_nanos += timer.ElapsedNanos();
   if (!blob.ok()) {
     LatchError(blob.status());
     return {};
@@ -501,7 +497,7 @@ RowSet BoxQuerier::MatchInNominal(const GroupMeta& group,
     for (size_t i = 0; i < nv.patterns.size(); ++i) {
       stamp_admits_[i] = nv.patterns[i].stamp.AdmitsProbe(probe);
     }
-    stats_.stamp_filter_nanos += ElapsedNanos(timer);
+    stats_.stamp_filter_nanos += timer.ElapsedNanos();
   }
   for (size_t pm_idx = 0; pm_idx < nv.patterns.size(); ++pm_idx) {
     const NominalPatternMeta& pm = nv.patterns[pm_idx];

@@ -179,9 +179,8 @@ ServiceResponse ErrorResponse(const Status& status) {
 Status QueryArchive(LogArchive* archive, const ServiceRequest& request,
                     const QueryOptions& options, QueryOutcome* outcome) {
   QueryExplain tree;
-  Result<ArchiveQueryResult> result =
-      request.explain ? archive->Explain(request.command, &tree, options)
-                      : archive->Query(request.command, options);
+  Result<ArchiveQueryResult> result = archive->Query(
+      request.command, options, request.explain ? &tree : nullptr);
   if (!result.ok()) {
     return result.status();
   }
@@ -206,9 +205,8 @@ Status QuerySet(ArchiveSet* set, const ServiceRequest& request,
     return InvalidArgument("empty time range: from > to");
   }
   SetExplain tree;
-  Result<SetQueryResult> result =
-      request.explain ? set->Explain(request.command, pred, &tree, options)
-                      : set->Query(request.command, pred, options);
+  Result<SetQueryResult> result = set->Query(
+      request.command, pred, options, request.explain ? &tree : nullptr);
   if (!result.ok()) {
     return result.status();
   }

@@ -14,6 +14,7 @@
 #include "src/common/build_info.h"
 #include "src/common/json.h"
 #include "src/common/metrics_export.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 
 namespace loggrep {
@@ -71,12 +72,31 @@ HttpResponse JsonError(int status, std::string_view message) {
   return response;
 }
 
-bool ParamIsFalse(const HttpRequest& request, const std::string& name) {
+// Reads an optional whole-decimal parameter into `out` (left as is when
+// absent). False when the parameter is present but malformed.
+bool ReadUintParam(const HttpRequest& request, const std::string& name,
+                   uint64_t* out) {
+  const auto it = request.params.find(name);
+  return it == request.params.end() || ParseUint64(it->second, out);
+}
+
+// Reads an optional 0/1/false/true/no/yes parameter into `out` (left as is
+// when absent). False when the parameter is present with any other value.
+bool ReadBoolParam(const HttpRequest& request, const std::string& name,
+                   bool* out) {
   const auto it = request.params.find(name);
   if (it == request.params.end()) {
+    return true;
+  }
+  const std::string& v = it->second;
+  if (v == "1" || v == "true" || v == "yes") {
+    *out = true;
+  } else if (v == "0" || v == "false" || v == "no") {
+    *out = false;
+  } else {
     return false;
   }
-  return it->second == "0" || it->second == "false" || it->second == "no";
+  return true;
 }
 
 }  // namespace
@@ -93,7 +113,6 @@ LoggrepDaemon::LoggrepDaemon(DaemonOptions options)
   // wired a different one in explicitly.
   if (options_.service.archive.metrics == nullptr) {
     options_.service.archive.metrics = metrics_;
-    options_.service.archive.engine.metrics = metrics_;
   }
   access_log_ = std::make_unique<AccessLog>(options_.access_log);
   // Set maintenance events (janitor step failures, compaction merges) ride
@@ -439,24 +458,26 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
     sr.command = q->second;
   }
   sr.explain = explain;
-  sr.degrade = !ParamIsFalse(request, "degrade");
-  const auto deadline = request.params.find("deadline_ms");
-  if (deadline != request.params.end()) {
-    sr.deadline_ms = std::strtoull(deadline->second.c_str(), nullptr, 10);
+  // A malformed knob is refused, never guessed at: a misread bound would
+  // prune real hits from an answer that still reads complete. Federation
+  // predicates (honored when the archive is an ArchiveSet root): an
+  // inclusive [from, to] event-time window in ns plus the tenant name.
+  if (!ReadBoolParam(request, "degrade", &sr.degrade)) {
+    return JsonError(400,
+                     "bad parameter 'degrade': want 0/1/false/true/no/yes");
   }
-  // Federation predicates (honored when the archive is an ArchiveSet root):
-  // tenant name plus an inclusive [from, to] event-time window in ns.
+  for (const auto& [name, field] :
+       {std::pair<const char*, uint64_t*>{"deadline_ms", &sr.deadline_ms},
+        {"from", &sr.from_ns},
+        {"to", &sr.to_ns}}) {
+    if (!ReadUintParam(request, name, field)) {
+      return JsonError(400, std::string("bad parameter '") + name +
+                                "': want a decimal number");
+    }
+  }
   const auto tenant = request.params.find("tenant");
   if (tenant != request.params.end()) {
     sr.tenant = tenant->second;
-  }
-  const auto from = request.params.find("from");
-  if (from != request.params.end()) {
-    sr.from_ns = std::strtoull(from->second.c_str(), nullptr, 10);
-  }
-  const auto to = request.params.find("to");
-  if (to != request.params.end()) {
-    sr.to_ns = std::strtoull(to->second.c_str(), nullptr, 10);
   }
 
   ServiceResponse service_response = service_->Run(sr);

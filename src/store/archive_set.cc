@@ -1,13 +1,12 @@
 #include "src/store/archive_set.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
 #include "src/common/json.h"
+#include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/query/query_parser.h"
 #include "src/store/fs_util.h"
@@ -64,18 +63,7 @@ void AppendBoolField(std::string* out, const char* key, bool value,
 bool ReadU64(const JsonValue& obj, const std::string& key, uint64_t* out) {
   const JsonValue& v = obj.Get(key);
   if (v.kind() == JsonValue::Kind::kString) {
-    const std::string& s = v.AsString();
-    if (s.empty()) {
-      return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size()) {
-      return false;
-    }
-    *out = parsed;
-    return true;
+    return ParseUint64(v.AsString(), out);
   }
   if (v.kind() == JsonValue::Kind::kNumber) {
     *out = v.AsUint();
@@ -118,22 +106,6 @@ struct ShardHandleDeleter {
 std::shared_ptr<LogArchive> MakeShardHandle(LogArchive archive) {
   return std::shared_ptr<LogArchive>(new LogArchive(std::move(archive)),
                                      ShardHandleDeleter{});
-}
-
-uint64_t CountLines(std::string_view text) {
-  if (text.empty()) {
-    return 0;
-  }
-  uint64_t lines = 0;
-  for (char c : text) {
-    if (c == '\n') {
-      ++lines;
-    }
-  }
-  if (text.back() != '\n') {
-    ++lines;
-  }
-  return lines;
 }
 
 }  // namespace
@@ -577,8 +549,7 @@ Result<size_t> ArchiveSet::RollShardLocked(const std::string& tenant,
 Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
                                          std::string_view text,
                                          uint64_t ts_ns) {
-  const uint64_t lines = CountLines(text);
-  if (lines == 0) {
+  if (text.empty()) {
     return InvalidArgument("append of empty text");
   }
   // Summary and compression depend on the text alone, so they run before the
@@ -587,6 +558,7 @@ Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
   // across blocks.
   BlockInfo block =
       BuildBlockSummary(text, options_.archive.bloom_bits_per_shingle);
+  const uint64_t lines = block.line_count;
   const std::string box =
       LogGrepEngine(options_.archive.engine).CompressBlock(text);
 
@@ -679,21 +651,8 @@ std::string SetQueryResult::RenderPartial() const {
 
 Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
                                          const SetQueryPredicate& pred,
-                                         const QueryOptions& options) {
-  return QueryImpl(command, pred, options, /*explain=*/nullptr);
-}
-
-Result<SetQueryResult> ArchiveSet::Explain(std::string_view command,
-                                           const SetQueryPredicate& pred,
-                                           SetExplain* explain,
-                                           const QueryOptions& options) {
-  return QueryImpl(command, pred, options, explain);
-}
-
-Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
-                                             const SetQueryPredicate& pred,
-                                             const QueryOptions& options,
-                                             SetExplain* explain) {
+                                         const QueryOptions& options,
+                                         SetExplain* explain) {
   // A malformed command must fail even when every shard is pruned (the
   // answer "no hits" would be a lie about a query that has no meaning).
   {
@@ -718,6 +677,18 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     size_t explain_index;                 // into explain->shards (or SIZE_MAX)
   };
   std::vector<Visit> visits;
+  // Records a whole-shard hole (and marks the shard's explain entry).
+  auto fail_shard = [&](const ShardInfo& s, size_t explain_index,
+                        const Status& cause) {
+    ++result.shards_failed;
+    SetShardFailure failure{s.id, s.tenant, s.line_base, s.lines,
+                            cause.ToString()};
+    if (explain_index != SIZE_MAX) {
+      explain->shards[explain_index].failed = true;
+      explain->shards[explain_index].failure = failure.error;
+    }
+    result.shard_failures.push_back(std::move(failure));
+  };
   std::unique_lock<std::mutex> lock(mu_);
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardInfo& s = shards_[i];
@@ -754,18 +725,7 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       if (!options.degrade) {
         return arch.status();
       }
-      ++result.shards_failed;
-      SetShardFailure failure;
-      failure.shard_id = s.id;
-      failure.tenant = s.tenant;
-      failure.line_base = s.line_base;
-      failure.lines = s.lines;
-      failure.error = arch.status().ToString();
-      if (explain_index != SIZE_MAX) {
-        explain->shards[explain_index].failed = true;
-        explain->shards[explain_index].failure = failure.error;
-      }
-      result.shard_failures.push_back(std::move(failure));
+      fail_shard(s, explain_index, arch.status());
       continue;
     }
     visits.push_back(Visit{s, std::move(*arch), explain_index});
@@ -786,12 +746,10 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
   shard_options.threads = 1;
   auto run_one = [&](size_t v) {
     Slot& slot = slots[v];
-    Result<ArchiveQueryResult> r =
-        explain != nullptr
-            ? visits[v].archive->Explain(
-                  command, &explain->shards[visits[v].explain_index].archive,
-                  shard_options)
-            : visits[v].archive->Query(command, shard_options);
+    Result<ArchiveQueryResult> r = visits[v].archive->Query(
+        command, shard_options,
+        explain != nullptr ? &explain->shards[visits[v].explain_index].archive
+                           : nullptr);
     if (r.ok()) {
       slot.result = std::move(*r);
       slot.done = true;
@@ -815,18 +773,7 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
           slot.status.code() == StatusCode::kInvalidArgument) {
         return slot.status;
       }
-      ++result.shards_failed;
-      SetShardFailure failure;
-      failure.shard_id = s.id;
-      failure.tenant = s.tenant;
-      failure.line_base = s.line_base;
-      failure.lines = s.lines;
-      failure.error = slot.status.ToString();
-      if (visits[v].explain_index != SIZE_MAX) {
-        explain->shards[visits[v].explain_index].failed = true;
-        explain->shards[visits[v].explain_index].failure = failure.error;
-      }
-      result.shard_failures.push_back(std::move(failure));
+      fail_shard(s, visits[v].explain_index, slot.status);
       continue;
     }
     ArchiveQueryResult& r = slot.result;

@@ -267,17 +267,15 @@ class ArchiveSet {
   // becoming a hole. options.threads > 1 queries the surviving shards
   // concurrently on that many pool workers (each shard serially); otherwise
   // the scatter goes shard at a time.
+  //
+  // With a non-null `explain` the call also records the shard-level
+  // decision tree: `explain` is reset, pruned shards carry the rejecting
+  // predicate and visited shards their per-block QueryExplain. An explained
+  // call runs serially, like LogArchive::Query with a tree.
   Result<SetQueryResult> Query(std::string_view command,
                                const SetQueryPredicate& pred = {},
-                               const QueryOptions& options = {});
-  // Query with the full shard-level decision record (pruned shards carry
-  // the rejecting predicate; visited shards carry their per-block
-  // QueryExplain). Serial, like LogArchive::Explain: options.threads is
-  // ignored.
-  Result<SetQueryResult> Explain(std::string_view command,
-                                 const SetQueryPredicate& pred,
-                                 SetExplain* explain,
-                                 const QueryOptions& options = {});
+                               const QueryOptions& options = {},
+                               SetExplain* explain = nullptr);
 
   // Expires sealed shards whose newest event timestamp is older than
   // now_ns - retention_ns (plus sealed empty shards). No-op when
@@ -391,13 +389,6 @@ class ArchiveSet {
 
  private:
   ArchiveSet(std::string root, ArchiveSetOptions options);
-
-  // Shared scatter-gather body. When `explain` is non-null the per-shard
-  // queries run through LogArchive::Explain, serially.
-  Result<SetQueryResult> QueryImpl(std::string_view command,
-                                   const SetQueryPredicate& pred,
-                                   const QueryOptions& options,
-                                   SetExplain* explain);
 
   Status WriteSetManifestLocked();
   // Opens (and caches) the archive of shard `index` in shards_. For an

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/hash.h"
@@ -32,16 +31,18 @@ constexpr size_t kShingleLen = 4;
 // arithmetic below; reject them during manifest parsing.
 constexpr uint64_t kMaxPlausibleLines = 1ull << 62;
 
-inline uint64_t ElapsedNanos(const WallTimer& timer) {
-  return timer.ElapsedNanos();
-}
-
 // Engine options for an archive-embedded engine: wire in the shared cache
-// (the engine must not own a second, private one).
-EngineOptions ArchiveEngineOptions(EngineOptions base, BoxCache* cache) {
-  base.box_cache = cache;
-  base.use_box_cache = cache != nullptr;
-  return base;
+// (the engine must not own a second, private one), and report to the
+// archive's registry unless the engine was given its own.
+EngineOptions ArchiveEngineOptions(const ArchiveOptions& options,
+                                   BoxCache* cache) {
+  EngineOptions engine = options.engine;
+  engine.box_cache = cache;
+  engine.use_box_cache = cache != nullptr;
+  if (engine.metrics == nullptr) {
+    engine.metrics = options.metrics;
+  }
+  return engine;
 }
 
 void AddTokenShingles(const std::string_view token, BloomFilter& bloom) {
@@ -181,7 +182,7 @@ LogArchive::LogArchive(std::string dir, ArchiveOptions options)
                            options.metrics})
                      : nullptr),
       engine_(std::make_unique<LogGrepEngine>(
-          ArchiveEngineOptions(options_.engine, box_cache_.get()))),
+          ArchiveEngineOptions(options_, box_cache_.get()))),
       mu_(std::make_unique<std::shared_mutex>()) {}
 
 BoxKey LogArchive::KeyForBlock(uint32_t seq) const {
@@ -471,19 +472,21 @@ Status LogArchive::AppendBlock(std::string_view text) {
   return CommitCompressedBlock(box, std::move(block), nullptr);
 }
 
-Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
-                                         BlockInfo block,
-                                         const CommitHook& hook) {
-  block.seq = blocks_.empty() ? 0 : blocks_.back().seq + 1;
+void LogArchive::PlaceNextBlock(BlockInfo* block) const {
+  block->seq = blocks_.empty() ? 0 : blocks_.back().seq + 1;
   // Contiguous by default; a caller backfilling at a known global offset may
   // pre-set first_line to any value >= the current end (sparse line space).
   const uint64_t next_line =
       blocks_.empty()
           ? 0
           : blocks_.back().first_line + blocks_.back().line_count;
-  if (block.first_line < next_line) {
-    block.first_line = next_line;
-  }
+  block->first_line = std::max(block->first_line, next_line);
+}
+
+Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
+                                         BlockInfo block,
+                                         const CommitHook& hook) {
+  PlaceNextBlock(&block);
   block.stored_bytes = box_bytes.size();
   block.stored_hash = Fnv1a64(box_bytes);
   StorageEnv* env = storage_env();
@@ -575,14 +578,7 @@ Status LogArchive::CommitCompressedBlock(std::string_view box_bytes,
 
 Status LogArchive::CommitTombstonedBlock(BlockInfo block,
                                          QuarantineEntry entry) {
-  block.seq = blocks_.empty() ? 0 : blocks_.back().seq + 1;
-  const uint64_t next_line =
-      blocks_.empty()
-          ? 0
-          : blocks_.back().first_line + blocks_.back().line_count;
-  if (block.first_line < next_line) {
-    block.first_line = next_line;
-  }
+  PlaceNextBlock(&block);
   entry.seq = block.seq;
   entry.tombstoned = true;
 
@@ -663,22 +659,25 @@ bool LogArchive::QuarantineBlock(const BlockRef& block, const Status& cause) {
   return true;
 }
 
+void LogArchive::ReportHole(const BlockRef& block, std::string error,
+                            bool newly_quarantined, bool tombstoned,
+                            PartialReport* report) {
+  report->failures.push_back(BlockQueryFailure{block.seq, block.first_line,
+                                               block.line_count,
+                                               std::move(error),
+                                               newly_quarantined, tombstoned});
+}
+
 bool LogArchive::SkipIfQuarantined(const BlockRef& block,
                                    PartialReport* report) const {
   const QuarantineEntry* entry = quarantine_.Find(block.seq);
   if (entry == nullptr) {
     return false;
   }
-  BlockQueryFailure failure;
-  failure.seq = block.seq;
-  failure.first_line = block.first_line;
-  failure.line_count = block.line_count;
-  failure.error = entry->code.empty()
-                      ? entry->error
-                      : entry->code + ": " + entry->error;
-  failure.newly_quarantined = false;
-  failure.tombstoned = entry->tombstoned;
-  report->failures.push_back(std::move(failure));
+  ReportHole(block,
+             entry->code.empty() ? entry->error
+                                 : entry->code + ": " + entry->error,
+             /*newly_quarantined=*/false, entry->tombstoned, report);
   return true;
 }
 
@@ -689,14 +688,7 @@ bool LogArchive::DegradeOnFailure(const BlockRef& block, const Status& cause,
     return false;
   }
   const bool fresh = QuarantineBlock(block, cause);
-  BlockQueryFailure failure;
-  failure.seq = block.seq;
-  failure.first_line = block.first_line;
-  failure.line_count = block.line_count;
-  failure.error = cause.ToString();
-  failure.newly_quarantined = fresh;
-  failure.tombstoned = false;
-  report->failures.push_back(std::move(failure));
+  ReportHole(block, cause.ToString(), fresh, /*tombstoned=*/false, report);
   return true;
 }
 
@@ -706,7 +698,8 @@ uint64_t LogArchive::PruneBlocks(const QueryExpr& expr,
                                  QueryExplain* explain) const {
   const TraceSpan span("archive.prune", "query", "blocks", blocks_.size());
   const WallTimer timer;
-  for (const BlockInfo& block : blocks_) {
+  for (size_t i = 0; i < blocks_.size(); ++i) {
+    const BlockInfo& block = blocks_[i];
     std::string reason;
     const bool drop = !BlockMayMatch(block, expr,
                                      explain != nullptr ? &reason : nullptr);
@@ -720,31 +713,22 @@ uint64_t LogArchive::PruneBlocks(const QueryExpr& expr,
     if (drop) {
       ++*pruned;
     } else {
-      to_query->push_back(BlockRef{block.seq, block.first_line,
-                                   block.line_count});
+      to_query->push_back(
+          BlockRef{block.seq, block.first_line, block.line_count, i});
     }
   }
-  return ElapsedNanos(timer);
+  return timer.ElapsedNanos();
 }
 
 Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
-                                             const QueryOptions& options) {
-  const TraceSpan span("archive.query", "query");
-  return QueryImpl(command, options, /*explain=*/nullptr);
-}
-
-Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
-                                               QueryExplain* explain,
-                                               const QueryOptions& options) {
-  const TraceSpan span("archive.explain", "query");
-  explain->command.assign(command.data(), command.size());
-  explain->blocks.clear();
-  return QueryImpl(command, options, explain);
-}
-
-Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
-                                                 const QueryOptions& options,
-                                                 QueryExplain* explain) {
+                                             const QueryOptions& options,
+                                             QueryExplain* explain) {
+  const TraceSpan span(explain != nullptr ? "archive.explain" : "archive.query",
+                       "query");
+  if (explain != nullptr) {
+    explain->command.assign(command.data(), command.size());
+    explain->blocks.clear();
+  }
   Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
   if (!expr.ok()) {
     return expr.status();
@@ -752,7 +736,15 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
 
   // Snapshot under the reader lock: prune, then set known-sick blocks aside
   // (a standing hole each, no retry storm). Everything after runs unlocked.
+  // PruneBlocks gives each block its record in `explain` at block.index.
   ArchiveQueryResult result;
+  auto mark_failed = [&](const BlockRef& block) {
+    if (explain != nullptr) {
+      BlockExplain& be = explain->blocks[block.index];
+      be.block_failed = true;
+      be.failure = result.partial.failures.back().error;
+    }
+  };
   std::vector<BlockRef> to_query;
   std::vector<BlockRef> submitted;
   {
@@ -775,21 +767,7 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
                           "disabled: " +
                           result.partial.failures.back().error);
       }
-    }
-  }
-
-  // PruneBlocks appended one BlockExplain per block, in seq order; map seq ->
-  // slot so each visited block fills its own record.
-  std::unordered_map<uint32_t, BlockExplain*> explain_of_seq;
-  if (explain != nullptr) {
-    explain_of_seq.reserve(explain->blocks.size());
-    for (BlockExplain& be : explain->blocks) {
-      explain_of_seq.emplace(be.seq, &be);
-    }
-    for (const BlockQueryFailure& f : result.partial.failures) {
-      BlockExplain* be = explain_of_seq.at(f.seq);
-      be->block_failed = true;
-      be->failure = f.error;
+      mark_failed(block);
     }
   }
 
@@ -810,7 +788,7 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
     };
     slots[i].emplace(engine_->QueryBox(
         KeyForBlock(block.seq), loader, command,
-        explain != nullptr ? explain_of_seq.at(block.seq) : nullptr));
+        explain != nullptr ? &explain->blocks[block.index] : nullptr));
   };
   ParallelFor(submitted.size(), explain != nullptr ? 1 : options.threads,
               run_one);
@@ -824,11 +802,7 @@ Result<ArchiveQueryResult> LogArchive::QueryImpl(std::string_view command,
                             &result.partial)) {
         return block_result.status();
       }
-      if (explain != nullptr) {
-        BlockExplain* be = explain_of_seq.at(block.seq);
-        be->block_failed = true;
-        be->failure = result.partial.failures.back().error;
-      }
+      mark_failed(block);
       continue;
     }
     ++result.blocks_queried;

@@ -38,7 +38,8 @@ struct ArchiveOptions {
   // Byte budget of the archive-owned BoxCache shared by Query, its parallel
   // workers and the embedded engine. 0 disables the shared cache.
   size_t box_cache_budget_bytes = 256ull << 20;
-  // Optional registry for query/cache counters. Borrowed.
+  // Optional registry for query/cache counters. Borrowed. The embedded
+  // engine reports here too unless engine.metrics names its own registry.
   MetricsRegistry* metrics = nullptr;
   // Storage backend every durable read/write/rename goes through. Borrowed;
   // null means the real POSIX filesystem. Tests plug in a
@@ -63,7 +64,8 @@ struct QueryOptions {
   uint64_t deadline_ns = 0;
   // Workers for this call's fan-out (blocks of a LogArchive, shards of an
   // ArchiveSet; §6: queries parallelize trivially at that granularity). A
-  // value <= 1 runs serially. Explain always runs serially.
+  // value <= 1 runs serially. A query that records an explain tree always
+  // runs serially.
   size_t threads = 1;
 };
 
@@ -189,23 +191,22 @@ class LogArchive {
   // options.threads > 1 the blocks are queried concurrently on that many
   // workers, all sharing the archive's engine and BoxCache; the result is
   // the same.
+  //
+  // With a non-null `explain` the call also records the full decision tree:
+  // `explain` is reset and receives one BlockExplain per block —
+  // archive-pruned blocks carry block_pruned plus a reason naming the
+  // keyword and filter that rejected them, queried blocks carry the
+  // per-variable-vector / per-Capsule fate tree recorded by the engine (see
+  // src/query/explain.h). An explained call runs serially (options.threads
+  // is ignored) and bypasses the command cache, so the record always
+  // describes a real execution.
   Result<ArchiveQueryResult> Query(std::string_view command,
-                                   const QueryOptions& options = {});
+                                   const QueryOptions& options = {},
+                                   QueryExplain* explain = nullptr);
 
-  // Query with a full decision record: `explain` receives one BlockExplain
-  // per block — archive-pruned blocks carry block_pruned plus a reason
-  // naming the keyword and filter that rejected them, queried blocks carry
-  // the per-variable-vector / per-Capsule fate tree recorded by the engine
-  // (see src/query/explain.h). Runs serially (options.threads is ignored)
-  // and bypasses the command cache, so the record always describes a real
-  // execution.
-  Result<ArchiveQueryResult> Explain(std::string_view command,
-                                     QueryExplain* explain,
-                                     const QueryOptions& options = {});
-
-  // Thread-safety: Query, Explain, quarantine(),
-  // ReloadQuarantine() and the total_*() sums may run concurrently with each
-  // other and with one committer. A query holds the archive's reader lock
+  // Thread-safety: Query, quarantine(), ReloadQuarantine() and the total_*()
+  // sums may run concurrently with each other and with one committer. A
+  // query holds the archive's reader lock
   // only while it prunes and snapshots the blocks it will visit; block files
   // are immutable once committed, so the scan itself runs unlocked. A commit
   // takes the writer lock only to publish its manifest entry, and a failing
@@ -241,6 +242,10 @@ class LogArchive {
   // non-null (a commit persists its entry before publishing it).
   std::string SerializeManifest(const BlockInfo* pending = nullptr) const;
   Status WriteManifest() const;
+  // Assigns the seq and first_line of the block committed next: the seq
+  // after the last one, and first_line contiguous unless pre-set past the
+  // current end.
+  void PlaceNextBlock(BlockInfo* block) const;
   // Retrying block read through the env (the query-path loader body).
   Result<std::string> LoadBlockBytes(uint32_t seq,
                                      const RetryBudget* budget) const;
@@ -253,18 +258,18 @@ class LogArchive {
     uint32_t seq = 0;
     uint64_t first_line = 0;
     uint64_t line_count = 0;
+    size_t index = 0;  // position in the block list (and explain->blocks)
   };
-  // Shared body of Query / Explain. `explain` non-null records the decision
-  // tree (serial only).
-  Result<ArchiveQueryResult> QueryImpl(std::string_view command,
-                                       const QueryOptions& options,
-                                       QueryExplain* explain);
   // Records `cause` in the quarantine set and persists the sidecar (best
   // effort: a failing sidecar write must not fail the query on top of the
   // block failure; it is counted in "storage.quarantine.persist_failures").
   // Returns false when a concurrent query already quarantined the block.
   // Takes the writer lock.
   bool QuarantineBlock(const BlockRef& block, const Status& cause);
+  // Appends one hole (a block the query could not serve) to `report`.
+  static void ReportHole(const BlockRef& block, std::string error,
+                         bool newly_quarantined, bool tombstoned,
+                         PartialReport* report);
   // Appends the failure of `block` to `report` (and quarantines it when the
   // failure is fresh). Returns false when the failure must abort the query
   // instead (degraded queries disabled, or a query-syntax error).

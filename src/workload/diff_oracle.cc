@@ -433,7 +433,7 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
       if (options.check_explain) {
         ++report.checks_run;
         QueryExplain explain;
-        Result<ArchiveQueryResult> got = archive->Explain(command, &explain);
+        Result<ArchiveQueryResult> got = archive->Query(command, {}, &explain);
         if (!got.ok()) {
           report.mismatches.push_back(
               {fx.name, command, "explain",
@@ -828,7 +828,7 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
       ++report.checks_run;
       SetExplain explain;
       Result<SetQueryResult> got =
-          set->Explain(cmd.command, cmd.pred, &explain);
+          set->Query(cmd.command, cmd.pred, {}, &explain);
       if (!got.ok()) {
         note("fed-explain", cmd, "explain failed: " + got.status().ToString());
       } else {

@@ -13,8 +13,8 @@
 //     (cold open, warm cache, QuerySession refinement, parallel Query
 //     workers, and a post-crash-recovery reopen) —
 // and the hit lists must agree hit for hit (line numbers AND text). The
-// explain layer is cross-checked too: Explain() must return the same hits
-// and satisfy its pruned + cached + decompressed == visited invariant.
+// explain layer is cross-checked too: Query with a tree must return the same
+// hits and satisfy its pruned + cached + decompressed == visited invariant.
 //
 // One swappable harness: tests/oracle runs it over pinned seeds, CI runs it
 // over fresh seeds nightly under ASan/UBSan, and any future perf PR can use
@@ -58,7 +58,7 @@ struct OracleOptions {
   size_t parallel_threads = 3;
 
   std::vector<OracleMode> modes = AllOracleModes();
-  bool check_explain = true;  // also run Explain() + invariant per command
+  bool check_explain = true;  // also run Query with a tree + invariant per command
 
   // Archive/engine configuration under test (ablation configs plug in here).
   ArchiveOptions archive;

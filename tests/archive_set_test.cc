@@ -410,7 +410,7 @@ TEST(ArchiveSetTest, SetExplainRecordsShardFates) {
   pred.tenant = "a";
   pred.from_ns = 1000;
   SetExplain explain;
-  auto result = fx.set->Explain("shared-token", pred, &explain);
+  auto result = fx.set->Query("shared-token", pred, {}, &explain);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(explain.shards.size(), 4u);
 
@@ -443,6 +443,28 @@ TEST(ArchiveSetTest, SetExplainRecordsShardFates) {
   EXPECT_EQ(result->shards_pruned + result->shards_visited,
             result->shards_total);
   EXPECT_NE(explain.Render().find("pruned"), std::string::npos);
+
+  // Reusing the tree resets it: one entry per shard, not one per call.
+  auto again = fx.set->Query("shared-token", pred, {}, &explain);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(explain.command, "shared-token");
+  ASSERT_EQ(explain.shards.size(), 4u);
+  EXPECT_TRUE(explain.CheckInvariant(&detail)) << detail;
+
+  // The tree changes nothing about the answer.
+  auto plain = fx.set->Query("shared-token", pred);
+  ASSERT_TRUE(plain.ok());
+  for (const SetQueryResult* r : {&*result, &*again}) {
+    EXPECT_EQ(r->hits, plain->hits);
+    EXPECT_EQ(r->shards_total, plain->shards_total);
+    EXPECT_EQ(r->shards_pruned, plain->shards_pruned);
+    EXPECT_EQ(r->shards_visited, plain->shards_visited);
+    EXPECT_EQ(r->shards_failed, plain->shards_failed);
+    EXPECT_EQ(r->blocks_pruned, plain->blocks_pruned);
+    EXPECT_EQ(r->blocks_queried, plain->blocks_queried);
+    EXPECT_EQ(r->partial.failures.size(), plain->partial.failures.size());
+    EXPECT_EQ(r->complete(), plain->complete());
+  }
 }
 
 // ---- crash-safety kill points ----------------------------------------------

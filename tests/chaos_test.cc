@@ -241,7 +241,7 @@ TEST_F(ChaosTest, ZeroFaultRunsMatchTheReferenceHitForHit) {
       ExpectHitsEqual(expected, par->hits, command + " [parallel]");
 
       QueryExplain explain;
-      Result<ArchiveQueryResult> ex = archive->Explain(command, &explain);
+      Result<ArchiveQueryResult> ex = archive->Query(command, {}, &explain);
       ASSERT_TRUE(ex.ok()) << ex.status().ToString();
       EXPECT_FALSE(ex->partial.partial());
       ExpectHitsEqual(expected, ex->hits, command + " [explain]");
@@ -393,7 +393,7 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
 
     // Explain names the hole.
     QueryExplain explain;
-    Result<ArchiveQueryResult> ex = archive->Explain(anchor, &explain);
+    Result<ArchiveQueryResult> ex = archive->Query(anchor, {}, &explain);
     ASSERT_TRUE(ex.ok());
     bool saw_failed = false;
     for (const BlockExplain& be : explain.blocks) {

@@ -105,6 +105,13 @@ expect_rc 1 --no-degrade grep bad ERROR
 expect_rc 3 explain bad ERROR
 
 expect_rc 1 grep set ERROR - 5000 10  # inverted time range on a set
+# A malformed bound or timestamp is a usage error, never a guessed number
+# (`abc` used to read as 0 and prune every shard: exit 0, no hits).
+expect_rc 2 grep set ERROR - 0 abc
+expect_rc 2 grep set ERROR - -1
+expect_rc 2 grep arch ERROR - 5s
+expect_rc 2 set-ingest set alpha a.log 1000x
+expect_stdout want_set.txt grep set ERROR  # the rejected ingest added nothing
 expect_rc 1 grep missing ERROR
 expect_rc 1 stat missing
 expect_rc 2 frobnicate arch ERROR

@@ -92,6 +92,20 @@ TEST(StringUtilTest, LongestCommonSubstring) {
   EXPECT_EQ(LongestCommonSubstring("same", "same"), "same");
 }
 
+TEST(StringUtilTest, ParseUint64TakesOnlyWholeDecimals) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "5s", "1e3",
+                          "18446744073709551616", "0x10"}) {
+    v = 7;
+    EXPECT_FALSE(ParseUint64(bad, &v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;
+  }
+}
+
 TEST(StringUtilTest, DistinctNonAlnumChars) {
   EXPECT_EQ(DistinctNonAlnumChars("block_1F8.log_x"), "_.");
   EXPECT_EQ(DistinctNonAlnumChars("abc123"), "");

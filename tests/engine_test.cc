@@ -4,6 +4,7 @@
 
 #include "src/capsule/capsule_box.h"
 #include "src/common/rng.h"
+#include "src/common/timer.h"
 #include "src/core/engine.h"
 #include "src/query/line_match.h"
 #include "src/parser/template_miner.h"
@@ -288,6 +289,36 @@ TEST(EngineTest, CachedResultReportsNoFreshWork) {
   EXPECT_EQ(s.decompress_nanos, 0u);
   EXPECT_EQ(s.scan_nanos, 0u);
   EXPECT_EQ(s.reconstruct_nanos, 0u);
+}
+
+TEST(EngineTest, ColdStagesFitInsideTheQueryWallTime) {
+  // Regression: capsules decoded while rendering hits were charged to both
+  // decompress and reconstruct (and taken out of scan), so the stages of a
+  // cold query summed to more than its wall time. Stages must partition it.
+  EngineOptions options;
+  options.use_cache = false;
+  options.use_box_cache = false;
+  LogGrepEngine engine(options);
+  const std::string text =
+      LogGenerator(AllDatasets().front()).GenerateLines(20000);
+  const std::string box = engine.CompressBlock(text);
+  // A rare keyword, and a date that every line carries (reconstruct-heavy).
+  for (const char* command : {"ERROR", "2026-07-06"}) {
+    const WallTimer wall;
+    auto result = engine.Query(box, command);
+    const uint64_t wall_nanos = wall.ElapsedNanos();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->hits.empty()) << command;
+    const LocatorStats& s = result->locator;
+    ASSERT_GT(s.capsules_decompressed, 0u) << command;
+    const uint64_t stages = s.open_nanos + s.stamp_filter_nanos +
+                            s.decompress_nanos + s.scan_nanos +
+                            s.reconstruct_nanos;
+    EXPECT_LE(stages, wall_nanos)
+        << command << ": open " << s.open_nanos << " stamp "
+        << s.stamp_filter_nanos << " decompress " << s.decompress_nanos
+        << " scan " << s.scan_nanos << " reconstruct " << s.reconstruct_nanos;
+  }
 }
 
 TEST(EngineTest, BoxCacheMakesSecondCommandCheaper) {

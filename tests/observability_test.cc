@@ -473,7 +473,7 @@ TEST_F(ArchiveExplainTest, PrunedBlocksCarryReasonsAndInvariantHolds) {
   ASSERT_TRUE(archive->AppendBlock(block_b).ok());
 
   QueryExplain explain;
-  auto result = archive->Explain("widget", &explain);
+  auto result = archive->Query("widget", {}, &explain);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(explain.command, "widget");
   ASSERT_EQ(explain.blocks.size(), 2u);
@@ -496,10 +496,24 @@ TEST_F(ArchiveExplainTest, PrunedBlocksCarryReasonsAndInvariantHolds) {
   std::string detail;
   EXPECT_TRUE(explain.CheckInvariant(&detail)) << detail;
 
-  // Same hits as the regular (cache-served) query path.
+  // Reusing the tree resets it: one entry per block, not one per call.
+  auto again = archive->Query("widget", {}, &explain);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(explain.command, "widget");
+  ASSERT_EQ(explain.blocks.size(), 2u);
+  EXPECT_TRUE(explain.CheckInvariant(&detail)) << detail;
+  // An explained run bypasses the command cache, so it is never a replay.
+  EXPECT_EQ(again->blocks_from_cache, 0u);
+
+  // Same answer as the regular (cache-served) query path.
   auto plain = archive->Query("widget");
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(result->hits, plain->hits);
+  for (const ArchiveQueryResult* r : {&*result, &*again}) {
+    EXPECT_EQ(r->hits, plain->hits);
+    EXPECT_EQ(r->blocks_pruned, plain->blocks_pruned);
+    EXPECT_EQ(r->blocks_queried, plain->blocks_queried);
+    EXPECT_EQ(r->partial.failures.size(), plain->partial.failures.size());
+  }
   EXPECT_EQ(result->hits.size(), 200u);
 
   // The rendered tree names the pruned block and balances its ledger.
@@ -509,7 +523,7 @@ TEST_F(ArchiveExplainTest, PrunedBlocksCarryReasonsAndInvariantHolds) {
   // A disjunction prunes a block only when every branch fails, and the
   // reason names the failing keyword of each branch.
   QueryExplain or_explain;
-  auto or_result = archive->Explain("widget or gadget", &or_explain);
+  auto or_result = archive->Query("widget or gadget", {}, &or_explain);
   ASSERT_TRUE(or_result.ok()) << or_result.status().ToString();
   EXPECT_EQ(or_result->blocks_pruned, 1u);
   EXPECT_EQ(or_result->hits.size(), 200u);

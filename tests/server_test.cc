@@ -570,6 +570,48 @@ TEST_F(ServerTest, FederatedSetServesPredicatedQueriesOverHttp) {
   EXPECT_EQ(daemon.service().open_archives(), 2u);
 }
 
+TEST_F(ServerTest, MalformedRequestParametersAreRefused) {
+  // Regression: `to=abc` parsed as 0 and time-pruned every shard, so the
+  // daemon answered 200, complete, with hits silently missing. Every
+  // malformed knob is a 400 naming the parameter.
+  std::vector<AppendReceipt> receipts;
+  std::vector<std::vector<std::string>> row_lines;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFederatedSet(root_ + "/fedset", &receipts, &row_lines));
+  LoggrepDaemon daemon(BaseOptions());
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  DaemonClient client("127.0.0.1", *port);
+
+  const std::string query = "/query?archive=fedset&q=shared-token";
+  const std::pair<const char*, const char*> bad[] = {
+      {"to", "abc"},        {"to", "-1"},          {"from", ""},
+      {"from", "%205"},     {"deadline_ms", "5s"}, {"degrade", "off"},
+      {"degrade", ""},      {"to", "18446744073709551616"}};
+  for (const auto& [name, value] : bad) {
+    const std::string path = query + "&" + name + "=" + value;
+    Result<ParsedResponse> response = client.Get(path);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 400) << path << " -> " << response->body;
+    EXPECT_NE(response->body.find(std::string("'") + name + "'"),
+              std::string::npos)
+        << path << " -> " << response->body;
+  }
+
+  // Well-formed values still answer, with every hit.
+  const QueryHits all = FedExpected(receipts, row_lines, {0, 1, 2, 3});
+  for (const char* ok_suffix :
+       {"&to=18446744073709551615", "&from=0&to=2000", "&degrade=yes",
+        "&degrade=0", "&deadline_ms=5000"}) {
+    Result<ParsedResponse> response = client.Get(query + ok_suffix);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200) << ok_suffix << " -> " << response->body;
+    Result<JsonValue> doc = ParseJson(response->body);
+    ASSERT_TRUE(doc.ok()) << response->body;
+    EXPECT_EQ(doc->Get("hits").AsArray().size(), all.size()) << ok_suffix;
+  }
+}
+
 TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   FaultInjectingStorageEnv fault(FaultOptions{.seed = kSeed});
   std::vector<AppendReceipt> receipts;
