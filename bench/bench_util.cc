@@ -9,6 +9,7 @@
 #include "src/baselines/es_like.h"
 #include "src/baselines/gzip_grep.h"
 #include "src/baselines/loggrep_backend.h"
+#include "src/common/string_util.h"
 #include "src/common/timer.h"
 #include "src/workload/loggen.h"
 #include "src/workload/queries.h"
@@ -16,10 +17,22 @@
 namespace loggrep {
 namespace bench {
 
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') {
+    return fallback;
+  }
+  uint64_t value = 0;
+  if (!ParseUint64(env, &value) || value < min) {
+    std::fprintf(stderr, "%s=%s: want a decimal number >= %llu\n", name, env,
+                 static_cast<unsigned long long>(min));
+    std::exit(2);
+  }
+  return value;
+}
+
 size_t DatasetBytes() {
-  const char* env = std::getenv("LOGGREP_BENCH_KB");
-  const long kb = env != nullptr ? std::atol(env) : 768;
-  return static_cast<size_t>(kb > 0 ? kb : 768) * 1024;
+  return static_cast<size_t>(EnvUint("LOGGREP_BENCH_KB", 768, 1)) * 1024;
 }
 
 std::string BenchOutputPath(const std::string& filename) {

@@ -2,6 +2,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -12,6 +13,11 @@
 
 namespace loggrep {
 namespace bench {
+
+// The decimal number in environment variable `name`, or `fallback` when it
+// is unset or empty. A malformed value, or one below `min`, prints the
+// variable's name and exits 2: a bench never runs at a guessed scale.
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t min = 0);
 
 // Bytes of synthetic log generated per dataset. Controlled by the
 // LOGGREP_BENCH_KB environment variable (default 768 KiB) so the benches can

@@ -55,15 +55,6 @@ constexpr uint64_t kSeed = 271828;
 constexpr size_t kMinWarmPerClient = 1000;
 constexpr size_t kMinP99Samples = 100;
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  const long long parsed = std::atoll(value);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
-}
-
 double PercentileMs(std::vector<double>* latencies_ms, double p) {
   if (latencies_ms->empty()) {
     return 0;
@@ -85,7 +76,7 @@ struct PhaseResult {
 };
 
 int Run() {
-  const size_t clients = EnvSize("LOGGREP_BENCH_CLIENTS", 8);
+  const size_t clients = EnvUint("LOGGREP_BENCH_CLIENTS", 8, 1);
 
   const std::string root =
       (std::filesystem::temp_directory_path() /
@@ -116,10 +107,11 @@ int Run() {
     }
   }
   const std::vector<std::string> commands = QuerySuiteForDataset(spec.name);
-  const size_t rounds = EnvSize(
+  const size_t rounds = EnvUint(
       "LOGGREP_BENCH_ROUNDS",
       (kMinWarmPerClient + commands.size() - 1) /
-          std::max<size_t>(1, commands.size()));
+          std::max<size_t>(1, commands.size()),
+      1);
 
   // Serial oracle before the daemon exists.
   std::map<std::string, QueryHits> oracle;

@@ -46,15 +46,6 @@ namespace {
 
 constexpr uint64_t kWindowSpanNs = 1'000'000'000ull;  // 1 s per shard window
 
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  const long long parsed = std::atoll(value);
-  return parsed >= 0 ? static_cast<uint64_t>(parsed) : fallback;
-}
-
 struct ModeStats {
   double qps = 0;
   double p50_ms = 0;
@@ -121,10 +112,10 @@ std::string ModeJson(const ModeStats& m) {
 
 int Run() {
   const size_t lines_per_shard =
-      static_cast<size_t>(EnvU64("LOGGREP_FED_LINES", 400));
-  const size_t iters = static_cast<size_t>(EnvU64("LOGGREP_FED_ITERS", 24));
+      static_cast<size_t>(EnvUint("LOGGREP_FED_LINES", 400));
+  const size_t iters = static_cast<size_t>(EnvUint("LOGGREP_FED_ITERS", 24));
   const size_t threads =
-      static_cast<size_t>(EnvU64("LOGGREP_FED_THREADS", 4));
+      static_cast<size_t>(EnvUint("LOGGREP_FED_THREADS", 4));
 
   DatasetSpec spec = AllDatasets().front();
   const std::vector<std::string> commands = QuerySuiteForDataset(spec.name);
@@ -153,9 +144,10 @@ int Run() {
     ArchiveSetOptions options;
     options.window_span_ns = kWindowSpanNs;
     options.max_shard_bytes = 0;  // windows alone decide the shard cut
-    // No shared box cache: every request pays real decompression, so the
-    // full-vs-pruned wall-clock comparison measures work, not cache luck.
-    options.archive.box_cache_budget_bytes = 0;
+    // A box cache that keeps nothing: every request pays real
+    // decompression, so the full-vs-pruned wall-clock comparison measures
+    // work, not cache luck.
+    options.archive.engine.box_cache_budget_bytes = 0;
     Result<std::unique_ptr<ArchiveSet>> set = ArchiveSet::Create(dir, options);
     if (!set.ok()) {
       std::fprintf(stderr, "create %s: %s\n", dir.c_str(),
@@ -252,7 +244,7 @@ int Run() {
     ArchiveSetOptions options;
     options.window_span_ns = kWindowSpanNs;
     options.max_shard_bytes = 0;
-    options.archive.box_cache_budget_bytes = 0;
+    options.archive.engine.box_cache_budget_bytes = 0;
     Result<std::unique_ptr<ArchiveSet>> set = ArchiveSet::Create(dir, options);
     if (!set.ok()) {
       std::fprintf(stderr, "create %s: %s\n", dir.c_str(),

@@ -114,17 +114,6 @@ std::vector<std::string> RefinementChain(const std::string& dataset) {
   return {base, base + " and 1", base + " and 1 and 2"};
 }
 
-int BenchRounds() {
-  const char* env = std::getenv("LOGGREP_BENCH_ROUNDS");
-  if (env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n >= 1) {
-      return n;
-    }
-  }
-  return 5;
-}
-
 double Median(std::vector<double> values) {
   if (values.empty()) {
     return 0;
@@ -159,7 +148,7 @@ BlockRoundResult RunBlockRound(const std::vector<BlockCorpus>& corpora,
   for (const BlockCorpus& corpus : corpora) {
     EngineOptions cold_options;
     cold_options.use_cache = false;
-    cold_options.use_box_cache = false;
+    cold_options.box_cache_budget_bytes = 0;
     LogGrepEngine cold_engine(cold_options);
     const PassStats cold = RunSuite(cold_engine, corpus.box, corpus.suite);
 
@@ -317,7 +306,8 @@ void WriteBenchJson(const char* path, int rounds, double cold_p50,
 }  // namespace
 
 int main() {
-  const int rounds = BenchRounds();
+  const int rounds =
+      static_cast<int>(bench::EnvUint("LOGGREP_BENCH_ROUNDS", 5, 1));
   std::printf("== query cache bench: cold vs warm (suite totals per dataset, "
               "%d rounds) ==\n",
               rounds);
@@ -330,7 +320,6 @@ int main() {
   {
     EngineOptions options;
     options.use_cache = false;
-    options.use_box_cache = false;
     LogGrepEngine compressor(options);
     for (const DatasetSpec& spec : AllDatasets()) {
       const std::vector<std::string> suite = QuerySuiteForDataset(spec.name);
@@ -389,7 +378,7 @@ int main() {
 
     EngineOptions cold_options;
     cold_options.use_cache = false;
-    cold_options.use_box_cache = false;
+    cold_options.box_cache_budget_bytes = 0;
     LogGrepEngine cold_engine(cold_options);
     const std::string box = cold_engine.CompressBlock(text);
     const double cold_seconds = bench::TimeSeconds([&] {

@@ -13,7 +13,6 @@
 // LOGGREP_WORKLOAD_FAULTS (1).
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -24,23 +23,14 @@ namespace loggrep {
 namespace bench {
 namespace {
 
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  const long long parsed = std::atoll(value);
-  return parsed >= 0 ? static_cast<uint64_t>(parsed) : fallback;
-}
-
 int Run() {
   SloHarnessOptions options;
-  options.tenants = static_cast<size_t>(EnvU64("LOGGREP_WORKLOAD_TENANTS", 4));
+  options.tenants = static_cast<size_t>(EnvUint("LOGGREP_WORKLOAD_TENANTS", 4));
   options.offered_qps =
-      static_cast<double>(EnvU64("LOGGREP_WORKLOAD_QPS", 150));
-  options.duration_ms = EnvU64("LOGGREP_WORKLOAD_MS", 4000);
-  options.seed = EnvU64("LOGGREP_WORKLOAD_SEED", 42);
-  options.inject_faults = EnvU64("LOGGREP_WORKLOAD_FAULTS", 1) != 0;
+      static_cast<double>(EnvUint("LOGGREP_WORKLOAD_QPS", 150));
+  options.duration_ms = EnvUint("LOGGREP_WORKLOAD_MS", 4000);
+  options.seed = EnvUint("LOGGREP_WORKLOAD_SEED", 42);
+  options.inject_faults = EnvUint("LOGGREP_WORKLOAD_FAULTS", 1) != 0;
 
   Result<SloHarnessReport> report = RunSloHarness(options);
   if (!report.ok()) {

@@ -56,8 +56,8 @@
 //   loggrep_cli grep app.lgc "error AND dst:11.8.* NOT state:503"
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <iostream>
@@ -595,8 +595,9 @@ int RemoteQuery(const std::string& endpoint, const std::string& archive,
     return 2;
   }
   const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
+  uint64_t port = 0;
+  if (!ParseUint64(std::string_view(endpoint).substr(colon + 1), &port) ||
+      port == 0 || port > 65535) {
     std::fprintf(stderr, "bad port in %s\n", endpoint.c_str());
     return 2;
   }
@@ -687,6 +688,18 @@ int Usage() {
   return 2;
 }
 
+// Reads the optional numeric argument argv[index] (`fallback` when absent).
+// False for anything but a plain decimal number: `2x` or `abc` is a usage
+// error, never a guessed 2 or 0.
+bool OptionalUint(int argc, char** argv, int index, uint64_t fallback,
+                  uint64_t* out) {
+  if (index >= argc) {
+    *out = fallback;
+    return true;
+  }
+  return ParseUint64(argv[index], out);
+}
+
 }  // namespace
 
 int main(int raw_argc, char** raw_argv) {
@@ -705,7 +718,12 @@ int main(int raw_argc, char** raw_argv) {
     } else if (arg.rfind("--access-log=", 0) == 0) {
       g_access_log_path = arg.substr(13);
     } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      g_slow_ms = std::strtoull(arg.substr(10).data(), nullptr, 10);
+      // The threshold is kept in nanoseconds: refuse what would wrap.
+      if (!ParseUint64(arg.substr(10), &g_slow_ms) ||
+          g_slow_ms > UINT64_MAX / 1'000'000) {
+        std::fprintf(stderr, "--slow-ms must be a decimal number\n");
+        return 2;
+      }
     } else {
       args.push_back(raw_argv[i]);
     }
@@ -770,13 +788,16 @@ int main(int raw_argc, char** raw_argv) {
     return finish(SetCompact(argv[2]));
   }
   if (cmd == "serve" && argc >= 3 && argc <= 6) {
-    const int port = argc >= 4 ? std::atoi(argv[3]) : 0;
-    const size_t threads =
-        argc >= 5 ? static_cast<size_t>(std::strtoul(argv[4], nullptr, 10)) : 8;
-    const size_t max_inflight =
-        argc >= 6 ? static_cast<size_t>(std::strtoul(argv[5], nullptr, 10)) : 16;
-    if (port < 0 || port > 65535 || threads == 0) {
-      std::fprintf(stderr, "bad port/threads\n");
+    uint64_t port = 0;
+    uint64_t threads = 0;
+    uint64_t max_inflight = 0;
+    if (!OptionalUint(argc, argv, 3, 0, &port) ||
+        !OptionalUint(argc, argv, 4, 8, &threads) ||
+        !OptionalUint(argc, argv, 5, 16, &max_inflight) || port > 65535 ||
+        threads == 0) {
+      std::fprintf(stderr,
+                   "port/threads/max_inflight must be decimal numbers "
+                   "(port <= 65535, threads >= 1)\n");
       return finish(2);
     }
     return finish(Serve(argv[2], static_cast<uint16_t>(port), threads,
@@ -786,12 +807,15 @@ int main(int raw_argc, char** raw_argv) {
     return finish(RemoteQuery(argv[2], argv[3], argv[4]));
   }
   if (cmd == "ingest" && argc >= 4 && argc <= 6) {
-    const size_t block_mb =
-        argc >= 5 ? static_cast<size_t>(std::strtoul(argv[4], nullptr, 10)) : 64;
-    const size_t threads =
-        argc >= 6 ? static_cast<size_t>(std::strtoul(argv[5], nullptr, 10)) : 0;
-    if (block_mb == 0) {
-      std::fprintf(stderr, "block_mb must be > 0\n");
+    uint64_t block_mb = 0;
+    uint64_t threads = 0;
+    // Blocks are cut at block_mb << 20 bytes: refuse what would wrap.
+    if (!OptionalUint(argc, argv, 4, 64, &block_mb) ||
+        !OptionalUint(argc, argv, 5, 0, &threads) || block_mb == 0 ||
+        block_mb > (SIZE_MAX >> 20)) {
+      std::fprintf(stderr,
+                   "block_mb/threads must be decimal numbers "
+                   "(block_mb >= 1)\n");
       return finish(2);
     }
     return finish(Ingest(argv[2], argv[3], block_mb, threads));

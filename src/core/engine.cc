@@ -93,24 +93,12 @@ Evaluation EvaluateExpr(BoxQuerier& querier, const QueryExpr& expr) {
 }  // namespace
 
 LogGrepEngine::LogGrepEngine(EngineOptions options)
-    : options_(options), cache_(options.query_cache_budget_bytes) {
+    : options_(options),
+      box_cache_(std::make_unique<BoxCache>(BoxCacheOptions{
+          options.box_cache_budget_bytes, /*shards=*/8, options.metrics})) {
   if (options_.codec == nullptr) {
     options_.codec = &GetXzCodec();
   }
-  if (options_.use_box_cache && options_.box_cache == nullptr) {
-    BoxCacheOptions copts;
-    copts.byte_budget = options_.box_cache_budget_bytes;
-    copts.metrics = options_.metrics;
-    owned_box_cache_ = std::make_unique<BoxCache>(copts);
-  }
-}
-
-BoxCache* LogGrepEngine::box_cache() const {
-  if (!options_.use_box_cache) {
-    return nullptr;
-  }
-  return options_.box_cache != nullptr ? options_.box_cache
-                                       : owned_box_cache_.get();
 }
 
 std::string LogGrepEngine::CompressBlock(std::string_view text) const {
@@ -153,22 +141,16 @@ std::string LogGrepEngine::CompressBlock(std::string_view text) const {
 Result<QueryResult> LogGrepEngine::Query(std::string_view box_bytes,
                                          std::string_view command,
                                          BlockExplain* explain) {
-  return QueryInternal(BoxKey::FromBytes(box_bytes), box_bytes, nullptr,
-                       command, explain);
+  return QueryBox(
+      BoxKey::FromBytes(box_bytes),
+      [box_bytes]() -> Result<std::string> { return std::string(box_bytes); },
+      command, explain);
 }
 
 Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
                                             const BoxLoader& load,
                                             std::string_view command,
                                             BlockExplain* explain) {
-  return QueryInternal(key, std::string_view(), &load, command, explain);
-}
-
-Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
-                                                 std::string_view inline_bytes,
-                                                 const BoxLoader* load,
-                                                 std::string_view command,
-                                                 BlockExplain* explain) {
   const TraceSpan query_span("engine.query", "query");
   // Cache entries are per (box identity, command): the same command against
   // another block must not serve stale hits, and the identity is a dual hash
@@ -197,63 +179,34 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
     return expr.status();
   }
 
-  // Open stage: through the shared cache when enabled (a warm entry skips
-  // the loader — typically a file read — and the metadata parse), otherwise
-  // a local zero-copy open.
+  // Open stage: a warm box-cache entry skips the loader (typically a file
+  // read) and the metadata parse.
   LocatorStats open_stats;
-  BoxCache* shared = box_cache();
-  std::shared_ptr<const OpenedBox> opened;  // pins cache entry if used
-  std::string local_bytes;                  // owns bytes on the uncached path
-  std::optional<CapsuleBox> local_box;
-  const CapsuleBox* box = nullptr;
+  std::shared_ptr<const OpenedBox> opened;  // pins the cache entry
   {
     const TraceSpan open_span("engine.open", "query");
     const WallTimer open_timer;
-    if (shared != nullptr) {
-      bool was_hit = false;
-      auto loader = [&]() -> Result<std::string> {
-        if (load != nullptr) {
-          return (*load)();
-        }
-        return std::string(inline_bytes);
-      };
-      Result<std::shared_ptr<const OpenedBox>> entry =
-          shared->GetOrOpenBox(key, loader, &was_hit);
-      if (!entry.ok()) {
-        return entry.status();
-      }
-      opened = std::move(*entry);
-      box = &opened->box();
-      if (was_hit) {
-        ++open_stats.cache_hits;
-        open_stats.bytes_saved += opened->bytes().size();
-      } else {
-        ++open_stats.cache_misses;
-      }
+    bool was_hit = false;
+    Result<std::shared_ptr<const OpenedBox>> entry =
+        box_cache_->GetOrOpenBox(key, load, &was_hit);
+    if (!entry.ok()) {
+      return entry.status();
+    }
+    opened = std::move(*entry);
+    if (was_hit) {
+      ++open_stats.cache_hits;
+      open_stats.bytes_saved += opened->bytes().size();
     } else {
-      std::string_view bytes = inline_bytes;
-      if (load != nullptr) {
-        Result<std::string> loaded = (*load)();
-        if (!loaded.ok()) {
-          return loaded.status();
-        }
-        local_bytes = std::move(*loaded);
-        bytes = local_bytes;
-      }
-      Result<CapsuleBox> parsed = CapsuleBox::Open(bytes);
-      if (!parsed.ok()) {
-        return parsed.status();
-      }
-      local_box.emplace(std::move(*parsed));
-      box = &*local_box;
+      ++open_stats.cache_misses;
     }
     open_stats.open_nanos = open_timer.ElapsedNanos();
   }
+  const CapsuleBox& box = opened->box();
 
   LocatorOptions lopts;
   lopts.use_stamps = options_.use_stamps;
   lopts.use_bm = options_.use_fixed;
-  BoxQuerier querier(*box, lopts, shared, key);
+  BoxQuerier querier(box, lopts, *box_cache_, key);
   std::optional<ExplainRecorder> recorder;
   if (explain != nullptr) {
     recorder.emplace(explain);
@@ -292,7 +245,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   const WallTimer reconstruct_timer;
   Reconstructor reconstructor(&querier);
   QueryResult result;
-  const CapsuleBoxMeta& meta = box->meta();
+  const CapsuleBoxMeta& meta = box.meta();
   for (uint32_t g = 0; g < ev.groups.size(); ++g) {
     for (uint32_t row : ev.groups[g].ToRows()) {
       result.hits.emplace_back(meta.groups[g].line_numbers[row], std::string());

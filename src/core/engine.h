@@ -6,8 +6,10 @@
 // two caches in front:
 //   - a command-level QueryCache (§3) memoizing whole results per
 //     (box identity, command), and
-//   - a shared BoxCache holding opened boxes and decompressed Capsules so
-//     warm queries skip file reads, metadata parses and decompression.
+//   - a BoxCache holding opened boxes and decompressed Capsules so warm
+//     queries skip file reads, metadata parses and decompression. Every
+//     query opens its box and decodes its Capsules through it; a zero
+//     budget keeps nothing, so each query reads and decodes afresh.
 // Box identity is a BoxKey (two independent 64-bit hashes + size, or an
 // archive-assigned sequence key), so a hash collision between two different
 // blocks can no longer serve the wrong block's hits.
@@ -41,16 +43,8 @@ struct EngineOptions {
   bool use_cache = true;    // command-level query cache
   bool static_only = false; // LogGrep-SP: static patterns only
 
-  // Shared box/capsule cache. When `box_cache` is null and `use_box_cache`
-  // is set, the engine owns a private cache sized by
-  // `box_cache_budget_bytes`; pass an external cache to share it across
-  // engines (LogArchive does this for its parallel Query workers).
-  bool use_box_cache = true;
+  // Byte budget of the engine's box/capsule cache. 0 keeps nothing.
   size_t box_cache_budget_bytes = 256ull << 20;
-  BoxCache* box_cache = nullptr;  // borrowed; must outlive the engine
-
-  // Byte budget of the command-level QueryCache LRU.
-  size_t query_cache_budget_bytes = QueryCache::kDefaultByteBudget;
 
   // Optional registry for query-side counters ("query.*",
   // "query.box_cache.*"). Borrowed; must outlive the engine.
@@ -79,8 +73,9 @@ class LogGrepEngine {
   // Compresses one log block into serialized CapsuleBox bytes.
   std::string CompressBlock(std::string_view text) const;
 
-  // Runs a grep-like query command against a CapsuleBox. Box identity is
-  // content-derived (BoxKey::FromBytes). A non-null `explain` records the
+  // Runs a grep-like query command against a CapsuleBox: QueryBox with a
+  // content-derived identity (BoxKey::FromBytes) and a loader that copies
+  // `box_bytes` on a box-cache miss. A non-null `explain` records the
   // per-variable-vector, per-Capsule decision tree (src/query/explain.h);
   // explained executions bypass the command-level QueryCache in both
   // directions, since the record must describe a real execution.
@@ -100,23 +95,18 @@ class LogGrepEngine {
 
   const EngineOptions& options() const { return options_; }
   const QueryCache& cache() const { return cache_; }
-  // The effective shared cache (owned or borrowed); null when disabled.
-  BoxCache* box_cache() const;
+  // The engine's box/capsule cache; never null.
+  BoxCache* box_cache() const { return box_cache_.get(); }
   // Clears the command-level cache (sessions call this on Reset so a reset
   // can never serve pre-reset hits). The box cache keeps its entries: they
   // are identity-keyed bytes, not query answers.
   void ClearCache() { cache_.Clear(); }
 
  private:
-  Result<QueryResult> QueryInternal(const BoxKey& key,
-                                    std::string_view inline_bytes,
-                                    const BoxLoader* load,
-                                    std::string_view command,
-                                    BlockExplain* explain);
-
   EngineOptions options_;
   QueryCache cache_;
-  std::unique_ptr<BoxCache> owned_box_cache_;
+  // Heap-held so its address (handed to queriers) survives engine moves.
+  std::unique_ptr<BoxCache> box_cache_;
 };
 
 }  // namespace loggrep

@@ -118,6 +118,7 @@ void BoxCache::EvictOverBudgetLocked(Shard& shard) {
     const EntryKey victim = shard.lru.back();
     auto it = shard.map.find(victim);
     shard.bytes -= it->second.charge;
+    bytes_in_use_.fetch_sub(it->second.charge, std::memory_order_relaxed);
     shard.map.erase(it);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -127,26 +128,27 @@ void BoxCache::EvictOverBudgetLocked(Shard& shard) {
   }
 }
 
-BoxCache::Entry BoxCache::InsertOrAdopt(const EntryKey& key, Entry entry,
-                                        bool* adopted) {
+BoxCache::Entry BoxCache::InsertOrAdopt(const EntryKey& key, Entry entry) {
+  if (options_.byte_budget == 0) {
+    return entry;
+  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     // Raced with another loader: adopt the resident entry, discard ours.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    *adopted = true;
     return it->second;
   }
   shard.lru.push_front(key);
   entry.lru_it = shard.lru.begin();
   shard.bytes += entry.charge;
+  bytes_in_use_.fetch_add(entry.charge, std::memory_order_relaxed);
   auto inserted = shard.map.emplace(key, entry).first;
   EvictOverBudgetLocked(shard);
   if (m_bytes_hwm_ != nullptr) {
-    m_bytes_hwm_->UpdateMax(shard.bytes);
+    m_bytes_hwm_->UpdateMax(bytes_in_use_.load(std::memory_order_relaxed));
   }
-  *adopted = false;
   return inserted->second;
 }
 
@@ -188,8 +190,7 @@ Result<std::shared_ptr<const OpenedBox>> BoxCache::GetOrOpenBox(
   Entry entry;
   entry.box = *opened;
   entry.charge = entry.box->bytes().size() + kEntryOverhead;
-  bool adopted = false;
-  Entry resident = InsertOrAdopt(ekey, std::move(entry), &adopted);
+  Entry resident = InsertOrAdopt(ekey, std::move(entry));
   box_misses_.fetch_add(1, std::memory_order_relaxed);
   if (m_misses_ != nullptr) {
     m_misses_->Increment();
@@ -234,8 +235,7 @@ Result<std::shared_ptr<const CachedCapsule>> BoxCache::GetOrLoadCapsule(
   Entry entry;
   entry.capsule = std::make_shared<const CachedCapsule>(std::move(*blob));
   entry.charge = entry.capsule->blob().size() + kEntryOverhead;
-  bool adopted = false;
-  Entry resident = InsertOrAdopt(ekey, std::move(entry), &adopted);
+  Entry resident = InsertOrAdopt(ekey, std::move(entry));
   capsule_misses_.fetch_add(1, std::memory_order_relaxed);
   if (m_misses_ != nullptr) {
     m_misses_->Increment();
@@ -251,6 +251,7 @@ void BoxCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->map.clear();
     shard->lru.clear();
+    bytes_in_use_.fetch_sub(shard->bytes, std::memory_order_relaxed);
     shard->bytes = 0;
   }
 }
@@ -263,9 +264,9 @@ BoxCacheStats BoxCache::Stats() const {
   stats.capsule_misses = capsule_misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
+  stats.bytes_in_use = bytes_in_use_.load(std::memory_order_relaxed);
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    stats.bytes_in_use += shard->bytes;
     stats.entries += shard->map.size();
   }
   return stats;

@@ -1,5 +1,6 @@
 // BoxCache: a sharded, byte-budgeted LRU cache shared across queries (and
-// across parallel Query workers) on the warm query path.
+// across parallel Query workers) on the query path. Every box open and
+// capsule decode goes through one; a zero byte budget keeps nothing.
 //
 // The paper's economics (§5–§6) hinge on touching as few decompressed bytes
 // as possible per query. The cold path already decompresses only the Capsules
@@ -115,6 +116,8 @@ struct BoxCacheOptions {
   // Total decompressed/opened bytes the cache may hold, split evenly across
   // shards. One oversized entry is still admitted (it becomes the shard's
   // only resident) so a huge capsule cannot starve the query touching it.
+  // 0 keeps nothing: every call runs its loader, counts a miss and hands
+  // the loaded entry back uncached.
   size_t byte_budget = 256ull << 20;
   size_t shards = 8;
   // Optional registry for "query.box_cache.*" counters.
@@ -128,7 +131,7 @@ struct BoxCacheStats {
   uint64_t capsule_misses = 0;
   uint64_t evictions = 0;
   uint64_t bytes_saved = 0;    // decompressed/opened bytes served warm
-  uint64_t bytes_in_use = 0;   // current charged bytes across shards
+  uint64_t bytes_in_use = 0;   // current charged bytes, cache-wide
   uint64_t entries = 0;
 };
 
@@ -187,8 +190,9 @@ class BoxCache {
 
   Shard& ShardFor(const EntryKey& key);
   // Inserts `entry` under `key` unless present; returns the resident entry
-  // (the existing one on a race). Caller holds no lock.
-  Entry InsertOrAdopt(const EntryKey& key, Entry entry, bool* adopted);
+  // (the existing one on a race). A zero-budget cache returns `entry`
+  // without inserting it. Caller holds no lock.
+  Entry InsertOrAdopt(const EntryKey& key, Entry entry);
   void EvictOverBudgetLocked(Shard& shard);
 
   BoxCacheOptions options_;
@@ -201,6 +205,9 @@ class BoxCache {
   std::atomic<uint64_t> capsule_misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> bytes_saved_{0};
+  // Sum of every shard's `bytes`; changed under the shard lock that moves
+  // them, and the source of the bytes_in_use high-water mark.
+  std::atomic<uint64_t> bytes_in_use_{0};
 
   // Resolved once; null when no registry was supplied.
   Counter* m_hits_ = nullptr;

@@ -76,7 +76,7 @@ const CachedCapsule* BoxQuerier::FetchCachedCapsule(uint32_t id) {
   bool was_hit = false;
   const TraceSpan span("locator.fetch_capsule", "query", "capsule", id);
   const WallTimer timer;
-  Result<std::shared_ptr<const CachedCapsule>> entry = cache_->GetOrLoadCapsule(
+  Result<std::shared_ptr<const CachedCapsule>> entry = cache_.GetOrLoadCapsule(
       key_, id, [this, id] { return box_.ReadCapsule(id); }, &was_hit);
   stats_.decompress_nanos += timer.ElapsedNanos();
   if (!entry.ok()) {
@@ -103,42 +103,14 @@ const CachedCapsule* BoxQuerier::FetchCachedCapsule(uint32_t id) {
 }
 
 std::string_view BoxQuerier::CapsuleBlob(uint32_t id) {
-  if (cache_ != nullptr) {
-    const CachedCapsule* capsule = FetchCachedCapsule(id);
-    return capsule != nullptr ? std::string_view(capsule->blob())
-                              : std::string_view();
-  }
-  const auto it = blob_cache_.find(id);
-  if (it != blob_cache_.end()) {
-    return it->second;
-  }
-  const TraceSpan span("locator.decompress", "query", "capsule", id);
-  const WallTimer timer;
-  Result<std::string> blob = box_.ReadCapsule(id);
-  stats_.decompress_nanos += timer.ElapsedNanos();
-  if (!blob.ok()) {
-    LatchError(blob.status());
-    return {};
-  }
-  ++stats_.capsules_decompressed;
-  stats_.bytes_decompressed += blob->size();
-  if (explain_ != nullptr) {
-    explain_->Record(id, CapsuleFate::kDecompressed, blob->size());
-  }
-  return blob_cache_.emplace(id, std::move(*blob)).first->second;
+  const CachedCapsule* capsule = FetchCachedCapsule(id);
+  return capsule != nullptr ? std::string_view(capsule->blob())
+                            : std::string_view();
 }
 
 const std::vector<std::string_view>& BoxQuerier::DelimitedValues(uint32_t id) {
-  if (cache_ != nullptr) {
-    const CachedCapsule* capsule = FetchCachedCapsule(id);
-    return capsule != nullptr ? capsule->splits() : empty_values_;
-  }
-  const auto it = split_cache_.find(id);
-  if (it != split_cache_.end()) {
-    return it->second;
-  }
-  const std::string_view blob = CapsuleBlob(id);
-  return split_cache_.emplace(id, SplitDelimitedBlob(blob)).first->second;
+  const CachedCapsule* capsule = FetchCachedCapsule(id);
+  return capsule != nullptr ? capsule->splits() : empty_values_;
 }
 
 const std::vector<uint32_t>& BoxQuerier::PresentRows(uint32_t group_idx,

@@ -3,11 +3,11 @@
 // Matches single keywords against one group at a time, using — in order —
 // static pattern constants, runtime patterns (possible-match enumeration),
 // Capsule stamps, and finally fixed-length matching inside the few Capsules
-// that survive filtering. Decompressed Capsules are pinned for the lifetime
-// of the querier, so multi-keyword queries and reconstruction reuse them;
-// when a shared BoxCache is attached, decompressed Capsules additionally
-// persist *across* queriers (and across parallel Query workers), so a warm
-// repeated or refined query decompresses strictly fewer bytes.
+// that survive filtering. Capsules are fetched through the engine's BoxCache
+// and pinned for the lifetime of the querier, so multi-keyword queries and
+// reconstruction reuse them; what the cache keeps persists *across*
+// queriers, so a warm repeated or refined query decompresses strictly fewer
+// bytes.
 #ifndef SRC_QUERY_LOCATOR_H_
 #define SRC_QUERY_LOCATOR_H_
 
@@ -42,7 +42,7 @@ struct LocatorStats {
   uint64_t pattern_trivial_hits = 0;
   uint64_t possible_matches = 0;
 
-  // Shared BoxCache economics (zero when no cache is attached).
+  // Shared BoxCache economics (a zero-budget cache only ever misses).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t bytes_saved = 0;  // decompressed bytes served from the cache
@@ -85,14 +85,9 @@ void BatchStampCheck(const std::vector<CapsuleStamp>& stamps,
 
 class BoxQuerier {
  public:
-  BoxQuerier(const CapsuleBox& box, LocatorOptions options)
-      : box_(box), options_(options) {}
-
-  // Attaches a shared cache: decompressed capsules are fetched from / stored
-  // into `cache` under `key` (the box's identity). `cache` may be null
-  // (equivalent to the two-argument constructor) and must outlive the
-  // querier when set.
-  BoxQuerier(const CapsuleBox& box, LocatorOptions options, BoxCache* cache,
+  // Decompressed capsules are fetched from / stored into `cache` under `key`
+  // (the box's identity). `cache` must outlive the querier.
+  BoxQuerier(const CapsuleBox& box, LocatorOptions options, BoxCache& cache,
              const BoxKey& key)
       : box_(box), options_(options), cache_(cache), key_(key) {}
 
@@ -144,8 +139,8 @@ class BoxQuerier {
   // evaluation batches across capsules (and across groups).
   const StampProbe& ProbeFor(std::string_view keyword, bool wildcard_aware);
 
-  // Fetches (and pins) the capsule through the shared cache. Only called
-  // when cache_ != nullptr.
+  // Fetches (and pins) the capsule through the shared cache; null (with
+  // the error latched) on failure.
   const CachedCapsule* FetchCachedCapsule(uint32_t id);
 
   void LatchError(const Status& status) {
@@ -160,17 +155,15 @@ class BoxQuerier {
 
   const CapsuleBox& box_;
   LocatorOptions options_;
-  BoxCache* cache_ = nullptr;  // shared across queriers; may be null
-  BoxKey key_;                 // box identity within cache_
+  BoxCache& cache_;  // shared across queriers
+  BoxKey key_;       // box identity within cache_
   ExplainRecorder* explain_ = nullptr;  // may be null (no explain)
   LocatorStats stats_;
   Status status_;
 
-  // Querier-local pins. Without a shared cache, blob_cache_/split_cache_
-  // own the bytes as before; with one, capsule_pins_ keeps shared entries
-  // alive (so views stay valid even if the cache evicts them).
-  std::unordered_map<uint32_t, std::string> blob_cache_;
-  std::unordered_map<uint32_t, std::vector<std::string_view>> split_cache_;
+  // Querier-local pins: keep fetched entries alive (so views stay valid
+  // even if the cache evicts them, or never kept them) and decode each
+  // capsule at most once per querier.
   std::unordered_map<uint32_t, std::shared_ptr<const CachedCapsule>>
       capsule_pins_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> present_rows_cache_;

@@ -295,7 +295,6 @@ Result<std::shared_ptr<ArchiveService::Handle>> ArchiveService::GetOrOpen(
   if (env->FileExists(ArchiveSet::SetManifestPath(dir))) {
     ArchiveSetOptions set_options;
     set_options.archive = options_.archive;
-    set_options.compaction = options_.compaction;
     set_options.event_log = options_.set_event_log;
     Result<std::unique_ptr<ArchiveSet>> set = ArchiveSet::Open(dir, set_options);
     if (!set.ok()) {

@@ -70,11 +70,6 @@ struct ServiceOptions {
   // itself. Absolute paths and ".." components are rejected.
   std::string root;
 
-  // Compaction policy applied to every ArchiveSet the service opens (the
-  // admin POST /compact endpoint and any janitor the owner starts both use
-  // it). Defaults are the store's defaults.
-  CompactionPolicy compaction;
-
   // Structured event sink wired into every opened ArchiveSet (janitor step
   // failures, compaction merges — one JSON object per call). The daemon
   // routes this into its access log so set maintenance shares the request
@@ -174,10 +169,10 @@ class ArchiveService {
   ServiceResponse Run(const ServiceRequest& request);
 
   // Admin: runs one compaction pass over the named ArchiveSet with the
-  // service's policy. 200 + report JSON on success, 400 when the target is
-  // a plain (non-federated) archive, 404/500 as usual. ArchiveSet::Compact
-  // is internally safe against concurrent queries, and a long merge does
-  // not stall reads.
+  // store's default CompactionPolicy. 200 + report JSON on success, 400
+  // when the target is a plain (non-federated) archive, 404/500 as usual.
+  // ArchiveSet::Compact is internally safe against concurrent queries, and
+  // a long merge does not stall reads.
   ServiceResponse Compact(const std::string& archive);
 
   // Aggregate janitor/compaction state across every open ArchiveSet handle

@@ -44,7 +44,7 @@ Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
   // bytes are hash-verified here, so the commit path's own retry policy is
   // all the resilience it needs.
   ArchiveOptions build_options = options;
-  build_options.box_cache_budget_bytes = 0;
+  build_options.engine.box_cache_budget_bytes = 0;
 
   const uint64_t merged_base = sources.front().line_base;
   Result<LogArchive> merged =

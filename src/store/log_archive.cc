@@ -31,14 +31,10 @@ constexpr size_t kShingleLen = 4;
 // arithmetic below; reject them during manifest parsing.
 constexpr uint64_t kMaxPlausibleLines = 1ull << 62;
 
-// Engine options for an archive-embedded engine: wire in the shared cache
-// (the engine must not own a second, private one), and report to the
-// archive's registry unless the engine was given its own.
-EngineOptions ArchiveEngineOptions(const ArchiveOptions& options,
-                                   BoxCache* cache) {
+// Engine options for an archive-embedded engine: report to the archive's
+// registry unless the engine was given its own.
+EngineOptions ArchiveEngineOptions(const ArchiveOptions& options) {
   EngineOptions engine = options.engine;
-  engine.box_cache = cache;
-  engine.use_box_cache = cache != nullptr;
   if (engine.metrics == nullptr) {
     engine.metrics = options.metrics;
   }
@@ -176,13 +172,7 @@ LogArchive::LogArchive(std::string dir, ArchiveOptions options)
     : dir_(std::move(dir)),
       options_(options),
       cache_namespace_(BoxKey::NextNamespaceId()),
-      box_cache_(options.box_cache_budget_bytes > 0
-                     ? std::make_shared<BoxCache>(BoxCacheOptions{
-                           options.box_cache_budget_bytes, /*shards=*/8,
-                           options.metrics})
-                     : nullptr),
-      engine_(std::make_unique<LogGrepEngine>(
-          ArchiveEngineOptions(options_, box_cache_.get()))),
+      engine_(std::make_unique<LogGrepEngine>(ArchiveEngineOptions(options_))),
       mu_(std::make_unique<std::shared_mutex>()) {}
 
 BoxKey LogArchive::KeyForBlock(uint32_t seq) const {

@@ -35,9 +35,6 @@ namespace loggrep {
 struct ArchiveOptions {
   EngineOptions engine;
   uint32_t bloom_bits_per_shingle = 10;
-  // Byte budget of the archive-owned BoxCache shared by Query, its parallel
-  // workers and the embedded engine. 0 disables the shared cache.
-  size_t box_cache_budget_bytes = 256ull << 20;
   // Optional registry for query/cache counters. Borrowed. The embedded
   // engine reports here too unless engine.metrics names its own registry.
   MetricsRegistry* metrics = nullptr;
@@ -215,8 +212,9 @@ class LogArchive {
   // The block list. Not synchronized: use only where no commit can run
   // concurrently (single-threaded tools, or the committer itself).
   const std::vector<BlockInfo>& blocks() const { return blocks_; }
-  // The shared cache (null when box_cache_budget_bytes == 0).
-  BoxCache* box_cache() const { return box_cache_.get(); }
+  // The embedded engine's cache, shared by Query and its parallel workers
+  // (sized by engine.box_cache_budget_bytes; never null).
+  BoxCache* box_cache() const { return engine_->box_cache(); }
   // Snapshot of the blocks currently excluded from queries (loaded from
   // quarantine.json at Open, grown by failed queries, shrunk by
   // `loggrep_cli repair`).
@@ -297,8 +295,6 @@ class LogArchive {
   std::string dir_;
   ArchiveOptions options_;
   uint64_t cache_namespace_ = 0;
-  // Declared before engine_: the engine borrows the cache pointer.
-  std::shared_ptr<BoxCache> box_cache_;
   // Thread-safe (its command cache and the BoxCache are synchronized).
   // Heap-held, like mu_, so the archive stays movable.
   std::unique_ptr<LogGrepEngine> engine_;

@@ -79,7 +79,10 @@ Result<std::vector<std::string>> ReconstructAllLines(
   std::vector<std::string> lines(meta.total_lines);
   std::vector<uint8_t> covered(meta.total_lines, 0);
 
-  BoxQuerier querier(*box, LocatorOptions{});
+  // Every capsule is decoded once and pinned by the querier; a zero-budget
+  // cache keeps no second copy (so the key need not identify the box).
+  BoxCache cache(BoxCacheOptions{/*byte_budget=*/0, /*shards=*/1});
+  BoxQuerier querier(*box, LocatorOptions{}, cache, BoxKey{});
   Reconstructor recon(&querier);
   for (size_t g = 0; g < meta.groups.size(); ++g) {
     const GroupMeta& group = meta.groups[g];

@@ -253,6 +253,78 @@ TEST(BoxCacheTest, MetricsRegistryMirrorsCounters) {
   EXPECT_GE(metrics.GetOrCreate("query.box_cache.bytes_saved")->value(), 100u);
 }
 
+TEST(BoxCacheTest, ZeroBudgetKeepsNothing) {
+  // A zero budget hands every loaded entry back uncached: each call runs its
+  // loader and counts a miss, and the cache never holds an entry or a byte.
+  MetricsRegistry& metrics = SharedMetrics();
+  BoxCacheOptions options;
+  options.byte_budget = 0;
+  options.metrics = &metrics;
+  BoxCache cache(options);
+  const std::string bytes = SampleBoxBytes();
+  const BoxKey key = BoxKey::FromBytes(bytes);
+  int loads = 0;
+  auto box_loader = [&]() -> Result<std::string> {
+    ++loads;
+    return bytes;
+  };
+  auto capsule_loader = [&]() -> Result<std::string> {
+    ++loads;
+    return std::string(1000, 'c');
+  };
+  int calls = 0;
+  for (int round = 0; round < 3; ++round) {
+    bool was_hit = true;
+    auto box = cache.GetOrOpenBox(key, box_loader, &was_hit);
+    ASSERT_TRUE(box.ok());
+    EXPECT_FALSE(was_hit);
+    EXPECT_EQ((*box)->bytes(), bytes);
+    ++calls;
+    for (uint32_t id = 0; id < 16; ++id) {
+      auto capsule = cache.GetOrLoadCapsule(key, id, capsule_loader, &was_hit);
+      ASSERT_TRUE(capsule.ok());
+      EXPECT_FALSE(was_hit);
+      EXPECT_EQ((*capsule)->blob().size(), 1000u);
+      ++calls;
+    }
+    const BoxCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.bytes_in_use, 0u);
+  }
+  EXPECT_EQ(loads, calls);
+  const BoxCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.box_hits + stats.capsule_hits, 0u);
+  EXPECT_EQ(stats.box_misses, 3u);
+  EXPECT_EQ(stats.capsule_misses, 48u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.misses")->value(),
+            static_cast<uint64_t>(calls));
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.bytes_in_use_hwm")->value(),
+            0u);
+}
+
+TEST(BoxCacheTest, BytesInUseHighWaterMarkCoversEveryShard) {
+  // The high-water mark tracks the cache-wide total that Stats() reports,
+  // not the fullest single shard.
+  MetricsRegistry& metrics = SharedMetrics();
+  BoxCacheOptions options;
+  options.shards = 8;
+  options.metrics = &metrics;
+  BoxCache cache(options);
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  auto blob = []() -> Result<std::string> { return std::string(1000, 'w'); };
+  for (uint32_t id = 0; id < 16; ++id) {
+    ASSERT_TRUE(cache.GetOrLoadCapsule(key, id, blob).ok());
+  }
+  const BoxCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 16u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.bytes_in_use_hwm")->value(),
+            stats.bytes_in_use);
+  cache.Clear();
+  EXPECT_EQ(cache.Stats().bytes_in_use, 0u);
+}
+
 TEST(BoxCacheTest, ConcurrentMixedLoadsStayConsistent) {
   BoxCacheOptions options;
   options.byte_budget = 64 << 10;

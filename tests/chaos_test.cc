@@ -276,7 +276,8 @@ TEST_F(ChaosTest, TransientFaultStormsConvergeToTheReferenceViaRetries) {
     opts.env = &fault;
     opts.metrics = &metrics;
     opts.retry.max_attempts = 5;
-    opts.box_cache_budget_bytes = 0;  // force a real read per block per query
+    // Force a real read per block per query.
+    opts.engine.box_cache_budget_bytes = 0;
 
     // Open's manifest read is not retried; the per-path cap guarantees the
     // third attempt cannot fault.
@@ -347,7 +348,8 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
     opts.env = &fault;
     opts.metrics = &metrics;
     opts.retry.max_attempts = 2;  // permanent: retries cannot help
-    opts.box_cache_budget_bytes = 0;  // cold reads, nothing masks the fault
+    // Cold reads: nothing masks the fault.
+    opts.engine.box_cache_budget_bytes = 0;
 
     Result<LogArchive> archive = LogArchive::Open(dir_, opts);
     ASSERT_TRUE(archive.ok()) << archive.status().ToString();
@@ -435,7 +437,7 @@ TEST_F(ChaosTest, MissingBlockFileIsQuarantinedThenTombstonedThenRestored) {
   ASSERT_TRUE(saved.ok());
 
   ArchiveOptions opts;
-  opts.box_cache_budget_bytes = 0;
+  opts.engine.box_cache_budget_bytes = 0;
   Result<LogArchive> archive = LogArchive::Open(dir_, opts);
   ASSERT_TRUE(archive.ok()) << archive.status().ToString();
 
@@ -604,7 +606,7 @@ TEST_F(ChaosTest, QueryDeadlineBoundsRetryStormsAndDegradesInsteadOfHanging) {
   opts.env = &fault;
   opts.metrics = &metrics;
   opts.retry.max_attempts = 100;
-  opts.box_cache_budget_bytes = 0;
+  opts.engine.box_cache_budget_bytes = 0;
   QueryOptions query_options;
   query_options.deadline_ns = 50'000'000;  // 50 ms of (virtual) backoff budget
 
@@ -651,7 +653,8 @@ TEST_F(ChaosTest, FederationDegradesToHealthyShardsThenRepairsExactly) {
     set_options.archive.env = &fault;
     set_options.archive.metrics = &metrics;
     set_options.archive.retry.max_attempts = 2;
-    set_options.archive.box_cache_budget_bytes = 0;  // nothing masks faults
+    // Nothing masks faults.
+    set_options.archive.engine.box_cache_budget_bytes = 0;
 
     Result<std::unique_ptr<ArchiveSet>> created =
         ArchiveSet::Create(dir_, set_options);

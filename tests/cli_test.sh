@@ -22,11 +22,12 @@ fail() {
 }
 
 # expect_rc <want> <args...>: runs the CLI and checks its exit code; stdout
-# goes to out.txt, stderr to err.txt.
+# goes to out.txt, stderr to err.txt. The timeout turns a command that
+# should have been refused but serves instead into a failure, not a hang.
 expect_rc() {
   want=$1
   shift
-  "$CLI" "$@" > out.txt 2> err.txt
+  timeout 30 "$CLI" "$@" > out.txt 2> err.txt
   got=$?
   if [ "$got" -ne "$want" ]; then
     fail "loggrep_cli $* exited $got, want $want"
@@ -112,6 +113,20 @@ expect_rc 2 grep set ERROR - -1
 expect_rc 2 grep arch ERROR - 5s
 expect_rc 2 set-ingest set alpha a.log 1000x
 expect_stdout want_set.txt grep set ERROR  # the rejected ingest added nothing
+# The same holds for every other number the CLI reads: nothing is served,
+# ingested or dialled on a malformed one.
+expect_rc 2 serve set abc
+expect_rc 2 serve set 12x 2
+expect_rc 2 serve set 0 2 8x
+expect_rc 2 serve set 70000
+expect_rc 2 --slow-ms=5s serve set 0 2
+expect_rc 2 --slow-ms=18446744073710 serve set 0 2  # ns would wrap
+expect_rc 2 ingest arch2 a.log 2x
+expect_rc 2 ingest arch2 a.log 1 2x
+expect_rc 2 ingest arch2 a.log 17592186044417  # << 20 would wrap to 1 MiB
+[ -e arch2 ] && fail "a rejected ingest created its archive"
+expect_rc 2 remote-query 127.0.0.1:80x set ERROR
+expect_rc 2 remote-query 127.0.0.1: set ERROR
 expect_rc 1 grep missing ERROR
 expect_rc 1 stat missing
 expect_rc 2 frobnicate arch ERROR

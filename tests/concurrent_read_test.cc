@@ -95,7 +95,7 @@ TEST(ConcurrentReadTest, SetReadersMatchReferenceUnderAppendCompactRetain) {
   options.compaction.min_run_shards = 2;
   // No box cache: every query reads its block files, so a shard directory
   // removed under an in-flight query would surface as a hole.
-  options.archive.box_cache_budget_bytes = 0;
+  options.archive.engine.box_cache_budget_bytes = 0;
   auto created = ArchiveSet::Create(root, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ArchiveSet& set = **created;
@@ -343,7 +343,8 @@ void ExpectRetiredShardServesInFlightQuery(
   options.max_shard_bytes = 1;  // every append rolls a fresh shard
   options.retention_ns = kRetentionNs;
   options.archive.env = &env;
-  options.archive.box_cache_budget_bytes = 0;  // every query reads blocks
+  // Every query reads blocks.
+  options.archive.engine.box_cache_budget_bytes = 0;
   auto created = ArchiveSet::Create(root, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ArchiveSet& set = **created;

@@ -404,7 +404,8 @@ TEST(DegradedQueryTest, EveryCorruptionShapeQuarantinesAndReportsTheHole) {
     ASSERT_TRUE(parsed.ok());
 
     ArchiveOptions opts;
-    opts.box_cache_budget_bytes = 0;  // cold reads; nothing masks the damage
+    // Cold reads: nothing masks the damage.
+    opts.engine.box_cache_budget_bytes = 0;
     // missing-file kills Open's interior check before any query can run, so
     // that shape opens with the file intact and loses it afterwards.
     const bool deferred = std::string(shape.label) == "missing-file";

@@ -181,7 +181,7 @@ TEST_F(DaemonConcurrencyTest, FaultsDegradeTo206sButNeverWrongAnswers) {
   options.num_threads = kClients;
   options.service.archive.env = &fault;
   options.service.archive.retry.max_attempts = 2;
-  options.service.archive.box_cache_budget_bytes = 0;
+  options.service.archive.engine.box_cache_budget_bytes = 0;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -296,7 +296,7 @@ TEST_F(DaemonConcurrencyTest, OverloadBounces429AndRetriesStillConverge) {
   options.service.archive.env = &gated;
   // Every query must hit storage (no warm shortcuts), so the gate below
   // really pins the slot.
-  options.service.archive.box_cache_budget_bytes = 0;
+  options.service.archive.engine.box_cache_budget_bytes = 0;
   options.service.archive.engine.use_cache = false;
   options.max_inflight_queries = 1;
   options.retry_after_seconds = 1;

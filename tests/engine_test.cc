@@ -297,7 +297,7 @@ TEST(EngineTest, ColdStagesFitInsideTheQueryWallTime) {
   // cold query summed to more than its wall time. Stages must partition it.
   EngineOptions options;
   options.use_cache = false;
-  options.use_box_cache = false;
+  options.box_cache_budget_bytes = 0;
   LogGrepEngine engine(options);
   const std::string text =
       LogGenerator(AllDatasets().front()).GenerateLines(20000);
@@ -321,11 +321,23 @@ TEST(EngineTest, ColdStagesFitInsideTheQueryWallTime) {
   }
 }
 
+// One registry shared by the metrics-asserting tests in this binary; each
+// test Reset()s it at entry instead of constructing a throwaway registry
+// (handles registered by earlier tests stay valid across the reset).
+MetricsRegistry& SharedMetrics() {
+  static MetricsRegistry registry;
+  registry.Reset();
+  return registry;
+}
+
 TEST(EngineTest, BoxCacheMakesSecondCommandCheaper) {
   // Two *different* commands over the same box: the second never misses the
-  // command cache, but the shared box cache already holds the opened box and
-  // the capsules the first command decompressed.
-  LogGrepEngine engine;  // box cache on by default
+  // command cache, but the box cache already holds the opened box and the
+  // capsules the first command decompressed.
+  MetricsRegistry& metrics = SharedMetrics();
+  EngineOptions options;
+  options.metrics = &metrics;
+  LogGrepEngine engine(options);
   const std::string text =
       LogGenerator(*FindDataset("Log A")).Generate(24 * 1024);
   const std::string box = engine.CompressBlock(text);
@@ -337,11 +349,12 @@ TEST(EngineTest, BoxCacheMakesSecondCommandCheaper) {
   EXPECT_FALSE(second->from_cache);
   EXPECT_GT(second->locator.cache_hits, 0u);
   EXPECT_GT(second->locator.bytes_saved, 0u);
+  EXPECT_GT(metrics.GetOrCreate("query.box_cache.hits")->value(), 0u);
   // Strictly fewer fresh bytes decompressed than a cold run of the same
-  // command on a cache-less engine.
+  // command on an engine whose box cache keeps nothing.
   EngineOptions cold_options;
   cold_options.use_cache = false;
-  cold_options.use_box_cache = false;
+  cold_options.box_cache_budget_bytes = 0;
   LogGrepEngine cold(cold_options);
   auto cold_run = cold.Query(box, "ERROR and aborted");
   ASSERT_TRUE(cold_run.ok());
@@ -353,40 +366,6 @@ TEST(EngineTest, BoxCacheMakesSecondCommandCheaper) {
     EXPECT_EQ(second->hits[i].first, cold_run->hits[i].first);
     EXPECT_EQ(second->hits[i].second, cold_run->hits[i].second);
   }
-}
-
-// One registry shared by the metrics-asserting tests in this binary; each
-// test Reset()s it at entry instead of constructing a throwaway registry
-// (handles registered by earlier tests stay valid across the reset).
-MetricsRegistry& SharedMetrics() {
-  static MetricsRegistry registry;
-  registry.Reset();
-  return registry;
-}
-
-TEST(EngineTest, SharedBoxCacheAcrossEngines) {
-  // Two engines wired to one external BoxCache: what one engine opens and
-  // decompresses is warm for the other (the parallel Query arrangement).
-  BoxCacheOptions cache_options;
-  MetricsRegistry& metrics = SharedMetrics();
-  cache_options.metrics = &metrics;
-  BoxCache shared(cache_options);
-  EngineOptions options;
-  options.box_cache = &shared;
-  options.use_cache = false;
-  LogGrepEngine a(options);
-  LogGrepEngine b(options);
-  ASSERT_EQ(a.box_cache(), &shared);
-  ASSERT_EQ(b.box_cache(), &shared);
-
-  const std::string box = a.CompressBlock("shared entry nu 1\nother xi 2\n");
-  auto first = a.Query(box, "nu");
-  ASSERT_TRUE(first.ok());
-  auto second = b.Query(box, "nu");
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(second->locator.cache_hits, 0u);
-  ASSERT_EQ(second->hits.size(), first->hits.size());
-  EXPECT_GT(metrics.GetOrCreate("query.box_cache.hits")->value(), 0u);
 }
 
 TEST(EngineTest, MetricsRegistryCollectsQueryCounters) {

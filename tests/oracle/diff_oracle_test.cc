@@ -70,7 +70,7 @@ TEST(DiffOracleTest, NoBoxCacheAgrees) {
   OracleOptions options;
   options.seed = 104;
   options.num_datasets = 1;
-  options.archive.box_cache_budget_bytes = 0;  // every query is cold I/O
+  options.archive.engine.box_cache_budget_bytes = 0;  // every query is cold I/O
   const OracleReport report = RunDifferentialOracle(options);
   EXPECT_TRUE(report.ok()) << report.Summary();
 }

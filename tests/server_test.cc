@@ -298,7 +298,7 @@ TEST_F(ServerTest, DegradedQueryReturns206WithPartialReport) {
   DaemonOptions options = BaseOptions();
   options.service.archive.env = &fault;
   options.service.archive.retry.max_attempts = 2;
-  options.service.archive.box_cache_budget_bytes = 0;
+  options.service.archive.engine.box_cache_budget_bytes = 0;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -350,7 +350,7 @@ TEST_F(ServerTest, PerRequestDeadlineBoundsRetryStorms) {
   DaemonOptions options = BaseOptions();
   options.service.archive.env = &fault;
   options.service.archive.retry.max_attempts = 100;
-  options.service.archive.box_cache_budget_bytes = 0;
+  options.service.archive.engine.box_cache_budget_bytes = 0;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -629,7 +629,7 @@ TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   DaemonOptions options = BaseOptions();
   options.service.archive.env = &fault;
   options.service.archive.retry.max_attempts = 2;
-  options.service.archive.box_cache_budget_bytes = 0;
+  options.service.archive.engine.box_cache_budget_bytes = 0;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -710,7 +710,7 @@ TEST_F(ServerTest, ArchivesAndSetsShareOneResponseLayout) {
   options.root = root_;
   options.archive.env = &fault;
   options.archive.retry.max_attempts = 2;
-  options.archive.box_cache_budget_bytes = 0;
+  options.archive.engine.box_cache_budget_bytes = 0;
 
   const auto run = [](ArchiveService* service, const std::string& archive,
                       const std::string& command, bool explain) {

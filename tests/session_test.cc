@@ -288,7 +288,7 @@ TEST(QuerySessionPropertyTest, RefinementMatchesColdQueryAcrossDatasets) {
 
     EngineOptions cold_options;
     cold_options.use_cache = false;
-    cold_options.use_box_cache = false;
+    cold_options.box_cache_budget_bytes = 0;
     LogGrepEngine cold(cold_options);
 
     for (const std::vector<std::string>& chain : suffix_chains) {

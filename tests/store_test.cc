@@ -568,21 +568,39 @@ TEST_F(LogArchiveTest, WarmQueriesSkipBlockFilesEntirely) {
 }
 
 TEST_F(LogArchiveTest, CacheDisabledArchiveStillAnswersCorrectly) {
+  // A zero-budget box cache keeps nothing: every query opens its blocks from
+  // storage (serial and parallel alike), so a block file lost between two
+  // queries is reported as a hole by the very next one.
   ArchiveOptions options;
-  options.box_cache_budget_bytes = 0;  // no shared cache at all
+  options.engine.box_cache_budget_bytes = 0;
+  options.engine.use_cache = false;  // no command-cache replays either
   auto archive = LogArchive::Create(dir_, options);
   ASSERT_TRUE(archive.ok());
-  EXPECT_EQ(archive->box_cache(), nullptr);
   ASSERT_TRUE(archive->AppendBlock("plain entry chi 1\n").ok());
-  for (int round = 0; round < 2; ++round) {
-    auto result = archive->Query("chi");
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->hits.size(), 1u);
+  ASSERT_TRUE(archive->AppendBlock("plain entry chi 2\n").ok());
+  for (const size_t threads : {1, 1, 2}) {
+    auto result = archive->Query("chi", {.threads = threads});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->hits.size(), 2u);
     EXPECT_EQ(result->hits[0].second, "plain entry chi 1");
+    EXPECT_EQ(result->hits[1].second, "plain entry chi 2");
+    EXPECT_EQ(result->blocks_queried, 2u);
+    EXPECT_EQ(result->blocks_from_cache, 0u);
+    EXPECT_EQ(result->locator.cache_hits, 0u);
+    EXPECT_GT(result->locator.cache_misses, 0u);
+    EXPECT_FALSE(result->partial.partial());
   }
-  auto parallel = archive->Query("chi", {.threads = 2});
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->hits.size(), 1u);
+  const BoxCacheStats stats = archive->box_cache()->Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes_in_use, 0u);
+
+  ASSERT_TRUE(std::filesystem::remove(dir_ + "/block-1.lgc"));
+  auto holed = archive->Query("chi");
+  ASSERT_TRUE(holed.ok()) << holed.status().ToString();
+  ASSERT_EQ(holed->hits.size(), 1u);
+  EXPECT_EQ(holed->hits[0].second, "plain entry chi 1");
+  ASSERT_EQ(holed->partial.failures.size(), 1u);
+  EXPECT_EQ(holed->partial.failures[0].seq, 1u);
 }
 
 TEST_F(LogArchiveTest, ParallelAndSerialAgreeOnDeterministicStats) {
