@@ -129,20 +129,18 @@ void LogIngestor::WorkerCompress(uint64_t seq,
   ReadyBlock ready;
   {
     const TraceSpan span("ingest.summary", "ingest", "seq", seq);
-    ready.info =
-        BuildBlockSummary(*text, options_.archive.bloom_bits_per_shingle);
+    ready.info = BuildBlockSummary(*text);
   }
   uint64_t nanos = timer.ElapsedNanos();
   summary_ns_->Add(nanos);
   block_summary_ns_->Record(nanos);
 
   timer.Reset();
-  // One engine per block: CompressBlock shares nothing across blocks, so
-  // workers stay lock-free (like parallel Query's per-block tasks).
+  // Every worker compresses through the archive's engine: CompressBlock is
+  // const and shares nothing across blocks, so workers stay lock-free.
   {
     const TraceSpan span("ingest.compress", "ingest", "seq", seq);
-    LogGrepEngine engine(options_.archive.engine);
-    ready.box = engine.CompressBlock(*text);
+    ready.box = archive_->engine().CompressBlock(*text);
   }
   nanos = timer.ElapsedNanos();
   compress_ns_->Add(nanos);

@@ -17,7 +17,7 @@
 // Concurrency shape:
 //   producer thread  -> Append() cuts blocks, waits on the in-flight window
 //   pool workers     -> build block summary + compress (embarrassingly
-//                       parallel, one engine per block)
+//                       parallel, through the archive's one const engine)
 //   committer        -> whichever worker completes the next-in-order block
 //                       drains the ready set in sequence order; commits are
 //                       serialized by a flag so the archive never sees
@@ -53,7 +53,8 @@ struct IngestOptions {
   size_t max_in_flight_blocks = 4;
   // Compression workers; 0 means std::thread::hardware_concurrency().
   size_t num_workers = 0;
-  // Forwarded to the underlying LogArchive (engine + bloom sizing).
+  // Forwarded to the underlying LogArchive (its engine, which the workers
+  // compress through, and the archive's cache budget).
   ArchiveOptions archive;
   // Fault injection for tests: forwarded to every block commit.
   CommitHook kill_hook;

@@ -45,11 +45,6 @@ bool LineMatcher::MatchesQuery(std::string_view line, const QueryExpr& expr) {
   return EvalExpr(expr);
 }
 
-bool LineMatchesTerm(std::string_view line, const SearchTerm& term) {
-  LineMatcher matcher;
-  return matcher.MatchesTerm(line, term);
-}
-
 bool LineMatchesQuery(std::string_view line, const QueryExpr& expr) {
   LineMatcher matcher;
   return matcher.MatchesQuery(line, expr);

@@ -33,8 +33,7 @@ class LineMatcher {
   TokenizedLine scratch_;  // tokens of the line currently being evaluated
 };
 
-// One-shot conveniences (construct a matcher per call).
-bool LineMatchesTerm(std::string_view line, const SearchTerm& term);
+// One-shot convenience (constructs a matcher per call).
 bool LineMatchesQuery(std::string_view line, const QueryExpr& expr);
 
 }  // namespace loggrep

@@ -141,16 +141,4 @@ void Reconstructor::RenderOutlierTo(uint32_t outlier_idx, std::string* out) {
   }
 }
 
-std::string Reconstructor::RenderRow(uint32_t group_idx, uint32_t row) {
-  std::string out;
-  RenderRowTo(group_idx, row, &out);
-  return out;
-}
-
-std::string Reconstructor::RenderOutlier(uint32_t outlier_idx) {
-  std::string out;
-  RenderOutlierTo(outlier_idx, &out);
-  return out;
-}
-
 }  // namespace loggrep

@@ -37,10 +37,6 @@ class Reconstructor {
   // Appends the original text of the i-th outlier line to `*out`.
   void RenderOutlierTo(uint32_t outlier_idx, std::string* out);
 
-  // Allocating conveniences (tests, one-off rendering).
-  std::string RenderRow(uint32_t group_idx, uint32_t row);
-  std::string RenderOutlier(uint32_t outlier_idx);
-
  private:
   // View of slot `slot`'s value, valid until the next RenderRowTo call
   // (backed by a pinned Capsule blob or by arena_).

@@ -62,7 +62,8 @@ namespace loggrep {
 
 struct ServiceOptions {
   // Base options for every archive the service opens (metrics registry,
-  // storage env, cache budget, retry policy). Per-request deadline/degrade
+  // storage env, cache budget, retry policy); the cache budget covers each
+  // archive, or each whole set (not each shard). Per-request deadline/degrade
   // knobs come from each ServiceRequest.
   ArchiveOptions archive;
   // Root directory archive names resolve under. A request's `archive`

@@ -301,7 +301,9 @@ Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
 // ---------------------------------------------------------------------------
 
 ArchiveSet::ArchiveSet(std::string root, ArchiveSetOptions options)
-    : root_(std::move(root)), options_(std::move(options)) {}
+    : root_(std::move(root)),
+      options_(std::move(options)),
+      engine_(LogArchive::MakeEngine(options_.archive)) {}
 
 ArchiveSet::~ArchiveSet() { StopJanitor(); }
 
@@ -436,7 +438,8 @@ Result<std::shared_ptr<LogArchive>> ArchiveSet::OpenShardLocked(
     return it->second;
   }
   Result<LogArchive> arch =
-      LogArchive::Open(JoinPath(root_, info.dir_name), options_.archive);
+      LogArchive::Open(JoinPath(root_, info.dir_name), options_.archive,
+                       engine_);
   if (!arch.ok()) {
     return Status(arch.status().code(),
                   "shard " + std::to_string(info.id) + " (" + info.tenant +
@@ -481,7 +484,8 @@ Result<size_t> ArchiveSet::RollShardLocked(const std::string& tenant,
   uint64_t id = next_shard_id_;
   std::string dir_name = ShardDirName(id, tenant);
   std::string dir = JoinPath(root_, dir_name);
-  Result<LogArchive> created = LogArchive::Create(dir, options_.archive);
+  Result<LogArchive> created =
+      LogArchive::Create(dir, options_.archive, engine_);
   if (!created.ok()) {
     return Status(created.status().code(),
                   "roll shard for tenant '" + tenant +
@@ -554,13 +558,10 @@ Result<AppendReceipt> ArchiveSet::Append(std::string_view tenant,
   }
   // Summary and compression depend on the text alone, so they run before the
   // set lock: queries and appends to other tenants never wait behind the
-  // codec. A local engine, as in LogIngestor: CompressBlock shares nothing
-  // across blocks.
-  BlockInfo block =
-      BuildBlockSummary(text, options_.archive.bloom_bits_per_shingle);
+  // codec (CompressBlock is const and shares nothing across blocks).
+  BlockInfo block = BuildBlockSummary(text);
   const uint64_t lines = block.line_count;
-  const std::string box =
-      LogGrepEngine(options_.archive.engine).CompressBlock(text);
+  const std::string box = engine_->CompressBlock(text);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (ts_ns == 0) {
@@ -1092,7 +1093,7 @@ Status ArchiveSet::CompactOneRun(const CompactionRun& run,
   const std::string staging_path = JoinPath(root_, staging);
   auto remove_staging = [&] { RemoveTreeBestEffort(staging_path); };
   Result<MergedShardBuild> build =
-      BuildMergedShard(root_, staging, sources, options_.archive);
+      BuildMergedShard(root_, staging, sources, options_.archive, engine_);
   if (!build.ok()) {
     remove_staging();
     return build.status();

@@ -97,8 +97,9 @@
 namespace loggrep {
 
 struct ArchiveSetOptions {
-  // Per-shard archive options (storage env, retry policy, cache budget,
-  // metrics registry — all apply to every shard).
+  // Archive options for every shard (storage env, retry policy, metrics
+  // registry). The set's ONE engine, built from archive.engine, serves every
+  // shard, so its cache budgets cover the whole set, not each shard.
   ArchiveOptions archive;
   // Time-window span for shard partitioning. 0 = one unbounded window per
   // tenant (shards then roll on size only).
@@ -417,6 +418,8 @@ class ArchiveSet {
 
   std::string root_;
   ArchiveSetOptions options_;
+  // Shared by every shard, Append and compaction build: one budget.
+  std::shared_ptr<LogGrepEngine> engine_;
   SetCommitHook hook_;
 
   mutable std::mutex mu_;

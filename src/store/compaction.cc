@@ -33,22 +33,18 @@ bool LooksLikeCompactionStagingDir(std::string_view name) {
          name.substr(0, kStagingPrefix.size()) == kStagingPrefix;
 }
 
-Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
-                                          const std::string& staging_dir,
-                                          const std::vector<ShardInfo>& sources,
-                                          const ArchiveOptions& options) {
+Result<MergedShardBuild> BuildMergedShard(
+    const std::string& set_root, const std::string& staging_dir,
+    const std::vector<ShardInfo>& sources, const ArchiveOptions& options,
+    std::shared_ptr<LogGrepEngine> engine) {
   if (sources.empty()) {
     return InvalidArgument("compaction: empty source run");
   }
-  // The builder only commits blocks — no queries, so no cache; and copied
-  // bytes are hash-verified here, so the commit path's own retry policy is
-  // all the resilience it needs.
-  ArchiveOptions build_options = options;
-  build_options.engine.box_cache_budget_bytes = 0;
-
+  // Copied bytes are hash-verified here, so the commit path's own retry
+  // policy is all the resilience the builder needs.
   const uint64_t merged_base = sources.front().line_base;
   Result<LogArchive> merged =
-      LogArchive::Create(JoinPath(set_root, staging_dir), build_options);
+      LogArchive::Create(JoinPath(set_root, staging_dir), options, engine);
   if (!merged.ok()) {
     return Status(merged.status().code(), "compaction: create staging dir: " +
                                               merged.status().message());
@@ -60,7 +56,7 @@ Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
       return Internal("compaction: sources not in line_base order");
     }
     Result<LogArchive> source =
-        LogArchive::Open(JoinPath(set_root, src.dir_name), build_options);
+        LogArchive::Open(JoinPath(set_root, src.dir_name), options, engine);
     if (!source.ok()) {
       return Status(source.status().code(),
                     "compaction: open source shard " + std::to_string(src.id) +
@@ -94,7 +90,7 @@ Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
       Result<std::string> bytes = ReadFileBytes(
           JoinPath(JoinPath(set_root, src.dir_name),
                    LogArchive::BlockFileName(block.seq)),
-          build_options.env);
+          options.env);
       if (!bytes.ok()) {
         return Status(bytes.status().code(),
                       "compaction: read source block (shard " +

@@ -22,6 +22,7 @@
 #define SRC_STORE_COMPACTION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,11 +58,12 @@ struct MergedShardBuild {
 // must abort the merge, not propagate). A source block that is quarantined
 // but NOT tombstoned aborts the build — the caller's planner excludes such
 // shards, so hitting one means the plan is stale. On any failure the caller
-// removes the staging dir; this function only reports.
-Result<MergedShardBuild> BuildMergedShard(const std::string& set_root,
-                                          const std::string& staging_dir,
-                                          const std::vector<ShardInfo>& sources,
-                                          const ArchiveOptions& options);
+// removes the staging dir; this function only reports. Every archive it
+// opens shares `engine`, the set's (it queries nothing, so caches nothing).
+Result<MergedShardBuild> BuildMergedShard(
+    const std::string& set_root, const std::string& staging_dir,
+    const std::vector<ShardInfo>& sources, const ArchiveOptions& options,
+    std::shared_ptr<LogGrepEngine> engine);
 
 // One Compact() call's outcome.
 struct SetCompactionReport {

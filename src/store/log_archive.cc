@@ -26,20 +26,11 @@ constexpr uint32_t kManifestMagic = 0x4D41474Cu;  // "LGAM"
 // corrupt; archives are regenerated from raw logs in that case).
 constexpr uint8_t kManifestVersion = 2;
 constexpr size_t kShingleLen = 4;
+constexpr uint32_t kBloomBitsPerShingle = 10;
 // Line counts / line numbers beyond this are not plausible (they would need
 // more than an exabyte of raw log) and would overflow the monotonicity
 // arithmetic below; reject them during manifest parsing.
 constexpr uint64_t kMaxPlausibleLines = 1ull << 62;
-
-// Engine options for an archive-embedded engine: report to the archive's
-// registry unless the engine was given its own.
-EngineOptions ArchiveEngineOptions(const ArchiveOptions& options) {
-  EngineOptions engine = options.engine;
-  if (engine.metrics == nullptr) {
-    engine.metrics = options.metrics;
-  }
-  return engine;
-}
 
 void AddTokenShingles(const std::string_view token, BloomFilter& bloom) {
   if (token.size() < kShingleLen) {
@@ -146,14 +137,13 @@ uint64_t HashBlockContent(std::string_view text) {
   return h;
 }
 
-BlockInfo BuildBlockSummary(std::string_view text,
-                            uint32_t bloom_bits_per_shingle) {
+BlockInfo BuildBlockSummary(std::string_view text) {
   BlockInfo block;
   block.raw_bytes = text.size();
   // Block-level summary: token stamp + shingle Bloom filter, sized for
   // roughly one shingle per 4 raw bytes.
   block.shingles = BloomFilter(std::max<uint64_t>(1024, text.size() / 4),
-                               bloom_bits_per_shingle);
+                               kBloomBitsPerShingle);
   uint64_t h = 0xCBF29CE484222325ULL;
   for (std::string_view line : SplitLines(text)) {
     ++block.line_count;
@@ -168,12 +158,22 @@ BlockInfo BuildBlockSummary(std::string_view text,
   return block;
 }
 
-LogArchive::LogArchive(std::string dir, ArchiveOptions options)
+LogArchive::LogArchive(std::string dir, ArchiveOptions options,
+                       std::shared_ptr<LogGrepEngine> engine)
     : dir_(std::move(dir)),
       options_(options),
       cache_namespace_(BoxKey::NextNamespaceId()),
-      engine_(std::make_unique<LogGrepEngine>(ArchiveEngineOptions(options_))),
+      engine_(std::move(engine)),
       mu_(std::make_unique<std::shared_mutex>()) {}
+
+std::shared_ptr<LogGrepEngine> LogArchive::MakeEngine(
+    const ArchiveOptions& options) {
+  EngineOptions engine = options.engine;
+  if (engine.metrics == nullptr) {
+    engine.metrics = options.metrics;
+  }
+  return std::make_shared<LogGrepEngine>(engine);
+}
 
 BoxKey LogArchive::KeyForBlock(uint32_t seq) const {
   return BoxKey::ForSequence(cache_namespace_, seq);
@@ -190,12 +190,17 @@ std::string LogArchive::BlockPath(uint32_t seq) const {
 std::string LogArchive::ManifestPath() const { return dir_ + "/archive.manifest"; }
 
 Result<LogArchive> LogArchive::Create(std::string dir, ArchiveOptions options) {
+  return Create(std::move(dir), options, MakeEngine(options));
+}
+
+Result<LogArchive> LogArchive::Create(std::string dir, ArchiveOptions options,
+                                      std::shared_ptr<LogGrepEngine> engine) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Internal("archive: cannot create directory " + dir);
   }
-  LogArchive archive(std::move(dir), options);
+  LogArchive archive(std::move(dir), options, std::move(engine));
   if (archive.storage_env()->FileExists(archive.ManifestPath())) {
     return InvalidArgument("archive: manifest already exists; use Open");
   }
@@ -289,7 +294,12 @@ Result<std::vector<BlockInfo>> ParseManifestBytes(std::string_view bytes) {
 }
 
 Result<LogArchive> LogArchive::Open(std::string dir, ArchiveOptions options) {
-  LogArchive archive(std::move(dir), options);
+  return Open(std::move(dir), options, MakeEngine(options));
+}
+
+Result<LogArchive> LogArchive::Open(std::string dir, ArchiveOptions options,
+                                    std::shared_ptr<LogGrepEngine> engine) {
+  LogArchive archive(std::move(dir), options, std::move(engine));
   StorageEnv* env = archive.storage_env();
   Result<std::string> bytes =
       options.retry.enabled()
@@ -457,7 +467,7 @@ void LogArchive::SweepUnreferencedBlocks() const {
 }
 
 Status LogArchive::AppendBlock(std::string_view text) {
-  BlockInfo block = BuildBlockSummary(text, options_.bloom_bits_per_shingle);
+  BlockInfo block = BuildBlockSummary(text);
   const std::string box = engine_->CompressBlock(text);
   return CommitCompressedBlock(box, std::move(block), nullptr);
 }

@@ -33,9 +33,10 @@
 namespace loggrep {
 
 struct ArchiveOptions {
+  // The archive's own engine; an archive opened on a shared engine (every
+  // ArchiveSet shard) uses that engine's options and budget instead.
   EngineOptions engine;
-  uint32_t bloom_bits_per_shingle = 10;
-  // Optional registry for query/cache counters. Borrowed. The embedded
+  // Optional registry for query/cache counters. Borrowed. The archive's own
   // engine reports here too unless engine.metrics names its own registry.
   MetricsRegistry* metrics = nullptr;
   // Storage backend every durable read/write/rename goes through. Borrowed;
@@ -122,8 +123,7 @@ const char* CommitKillPointName(CommitKillPoint point);
 // Builds the block-level summary (line count, raw bytes, token stamp,
 // shingle Bloom filter) for one block of text. seq / first_line /
 // stored_bytes are assigned at commit time.
-BlockInfo BuildBlockSummary(std::string_view text,
-                            uint32_t bloom_bits_per_shingle);
+BlockInfo BuildBlockSummary(std::string_view text);
 
 struct ArchiveQueryResult {
   // Hits carry 64-bit global line numbers across all blocks, in ingestion
@@ -154,6 +154,17 @@ class LogArchive {
   // a known, reported condition — and orphaned `*.tmp` / unreferenced block
   // files are swept.
   static Result<LogArchive> Open(std::string dir, ArchiveOptions options = {});
+  // Same, on a shared `engine` (never null): an ArchiveSet passes its one
+  // engine, caches and budget to every shard. Cache keys stay per archive
+  // instance, so shards never collide.
+  static Result<LogArchive> Create(std::string dir, ArchiveOptions options,
+                                   std::shared_ptr<LogGrepEngine> engine);
+  static Result<LogArchive> Open(std::string dir, ArchiveOptions options,
+                                 std::shared_ptr<LogGrepEngine> engine);
+  // The engine Create/Open build when given none: options.engine, reporting
+  // to options.metrics unless engine.metrics names its own registry.
+  static std::shared_ptr<LogGrepEngine> MakeEngine(
+      const ArchiveOptions& options);
 
   // Compresses `text` as the next block and persists it + the manifest
   // (crash-safe: every file lands via tmp + atomic rename).
@@ -212,9 +223,9 @@ class LogArchive {
   // The block list. Not synchronized: use only where no commit can run
   // concurrently (single-threaded tools, or the committer itself).
   const std::vector<BlockInfo>& blocks() const { return blocks_; }
-  // The embedded engine's cache, shared by Query and its parallel workers
-  // (sized by engine.box_cache_budget_bytes; never null).
-  BoxCache* box_cache() const { return engine_->box_cache(); }
+  // The engine this archive compresses and queries through: its own, or its
+  // set's. CompressBlock is const, so ingest workers share it lock-free.
+  const LogGrepEngine& engine() const { return *engine_; }
   // Snapshot of the blocks currently excluded from queries (loaded from
   // quarantine.json at Open, grown by failed queries, shrunk by
   // `loggrep_cli repair`).
@@ -232,7 +243,8 @@ class LogArchive {
   uint64_t total_stored_bytes() const;
 
  private:
-  LogArchive(std::string dir, ArchiveOptions options);
+  LogArchive(std::string dir, ArchiveOptions options,
+             std::shared_ptr<LogGrepEngine> engine);
 
   std::string BlockPath(uint32_t seq) const;
   std::string ManifestPath() const;
@@ -294,10 +306,10 @@ class LogArchive {
 
   std::string dir_;
   ArchiveOptions options_;
+  // Unique per instance, so archives sharing engine_ never share a key.
   uint64_t cache_namespace_ = 0;
   // Thread-safe (its command cache and the BoxCache are synchronized).
-  // Heap-held, like mu_, so the archive stays movable.
-  std::unique_ptr<LogGrepEngine> engine_;
+  std::shared_ptr<LogGrepEngine> engine_;
   // Reader/writer lock over blocks_ and quarantine_ (see "Thread-safety").
   std::unique_ptr<std::shared_mutex> mu_;
   std::vector<BlockInfo> blocks_;

@@ -302,10 +302,8 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
           LogGenerator(spec).GenerateLines(options.lines_per_block);
       const CommitKillPoint kill_at = static_cast<CommitKillPoint>(
           rng.NextBelow(3));  // rotates across the three protocol steps
-      BlockInfo info =
-          BuildBlockSummary(doomed, options.archive.bloom_bits_per_shingle);
-      const std::string box =
-          LogGrepEngine(options.archive.engine).CompressBlock(doomed);
+      BlockInfo info = BuildBlockSummary(doomed);
+      const std::string box = archive->engine().CompressBlock(doomed);
       const Status aborted = archive->CommitCompressedBlock(
           box, std::move(info),
           [kill_at](CommitKillPoint p) { return p == kill_at; });
@@ -558,20 +556,6 @@ std::optional<std::string> DiffHitTexts(const QueryHits& expected,
 }
 
 }  // namespace
-
-const char* FederationModeName(FederationMode mode) {
-  switch (mode) {
-    case FederationMode::kCold:
-      return "fed-cold";
-    case FederationMode::kWarm:
-      return "fed-warm";
-    case FederationMode::kParallel:
-      return "fed-parallel";
-    case FederationMode::kPostRepair:
-      return "fed-post-repair";
-  }
-  return "fed-unknown";
-}
 
 std::vector<FederationMode> AllFederationModes() {
   return {FederationMode::kCold, FederationMode::kWarm,

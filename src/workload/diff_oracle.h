@@ -120,7 +120,6 @@ enum class FederationMode {
                // expect exact convergence
 };
 
-const char* FederationModeName(FederationMode mode);
 std::vector<FederationMode> AllFederationModes();
 
 struct FederationOracleOptions {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/store/fs_util.h"
 #include "src/store/shard_router.h"
 #include "src/store/storage_env.h"
@@ -393,6 +394,61 @@ TEST(ArchiveSetTest, ParallelQueryMatchesSerial) {
   EXPECT_EQ(serial->hits, parallel->hits);
   EXPECT_EQ(serial->shards_visited, parallel->shards_visited);
   EXPECT_EQ(serial->blocks_queried, parallel->blocks_queried);
+}
+
+// What one query over a set of identical shards left in the set's caches.
+struct SharedCacheProbe {
+  uint64_t hwm = 0;  // query.box_cache.bytes_in_use_hwm
+  QueryHits hits;
+};
+
+// `shards` identical 400-line shards (one per time window), each queried by
+// a command every line matches, so every box and capsule goes through the
+// cache.
+SharedCacheProbe QueryIdenticalShards(const std::string& name, size_t shards,
+                                      size_t box_cache_budget_bytes) {
+  MetricsRegistry registry;
+  ArchiveSetOptions options = SmallSetOptions();
+  options.archive.metrics = &registry;
+  options.archive.engine.box_cache_budget_bytes = box_cache_budget_bytes;
+  auto set = ArchiveSet::Create(TestDir(name), options);
+  EXPECT_TRUE(set.ok()) << set.status().ToString();
+  SharedCacheProbe probe;
+  const std::string text = MakeText("tenant", 400);
+  for (size_t i = 0; i < shards; ++i) {
+    EXPECT_TRUE((*set)->Append("t", text, i * kSpan).ok());
+  }
+  EXPECT_EQ((*set)->live_shard_count(), shards);
+  auto result = (*set)->Query("shared-token", {});
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->complete());
+  EXPECT_EQ(result->blocks_queried, shards);
+  probe.hits = std::move(result->hits);
+  probe.hwm = registry.GetOrCreate("query.box_cache.bytes_in_use_hwm")->value();
+  return probe;
+}
+
+TEST(ArchiveSetTest, ShardsShareOneEngine) {
+  constexpr size_t kShards = 16;
+  const SharedCacheProbe one =
+      QueryIdenticalShards("one-engine-1", 1, 256u << 20);
+  const SharedCacheProbe all =
+      QueryIdenticalShards("one-engine-16", kShards, 256u << 20);
+  ASSERT_EQ(all.hits.size(), kShards * 400);
+  ASSERT_GT(one.hwm, 0u);
+  // Every shard caches into the one set-wide BoxCache, so its high-water
+  // mark covers all 16 shards (per-shard caches each peak at one shard's).
+  EXPECT_GE(all.hwm, kShards * one.hwm);
+
+  // A budget of two shards' worth binds the whole set. Each of the cache's
+  // 8 internal shards may exceed its slice of the budget only by keeping
+  // its freshest entry, and no entry outweighs one shard's whole footprint.
+  const size_t budget = 2 * one.hwm;
+  const SharedCacheProbe capped =
+      QueryIdenticalShards("one-engine-capped", kShards, budget);
+  EXPECT_EQ(capped.hits, all.hits);
+  EXPECT_LE(capped.hwm, budget + 8 * one.hwm);
+  EXPECT_LT(capped.hwm, all.hwm);
 }
 
 TEST(ArchiveSetTest, InvalidCommandFailsEvenWhenEverythingPruned) {

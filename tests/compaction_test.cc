@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/metrics.h"
+#include "src/parser/template_miner.h"  // SplitLines
 #include "src/store/archive_set.h"
 #include "src/store/fs_util.h"
 #include "src/store/shard_router.h"
@@ -381,6 +382,76 @@ TEST(CompactionTest, MergePreservesHitsAndGlobalLineNumbersExactly) {
   auto grown = (*reopened)->Query("shared-token", {});
   ASSERT_TRUE(grown.ok());
   EXPECT_EQ(grown->hits.size(), 14u);
+}
+
+TEST(CompactionTest, WarmSharedCacheNeverAnswersForTheMergedShard) {
+  // Every block holds the same 100 lines, so one block's cache footprint
+  // (measured on a standalone archive) bounds any single cache entry.
+  const std::string text = MakeText("a", 100);
+  auto probe = LogArchive::Create(TestDir("warm-shared-probe"), {});
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE(probe->AppendBlock(text).ok());
+  ASSERT_TRUE(probe->Query("shared-token").ok());
+  const uint64_t block_bytes =
+      probe->engine().box_cache()->Stats().bytes_in_use;
+  ASSERT_GT(block_bytes, 0u);
+
+  // 4 shards of 8 blocks under a budget of one shard's worth.
+  constexpr size_t kBlocksPerShard = 8;
+  const uint64_t budget = kBlocksPerShard * block_bytes;
+  MetricsRegistry registry;
+  ArchiveSetOptions options = SmallSetOptions();
+  options.archive.metrics = &registry;
+  options.archive.engine.box_cache_budget_bytes = budget;
+  auto set = ArchiveSet::Create(TestDir("warm-shared"), options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  QueryHits reference;
+  const std::vector<std::string_view> lines = SplitLines(text);
+  for (uint64_t w = 0; w < 4; ++w) {
+    for (uint64_t b = 0; b < kBlocksPerShard; ++b) {
+      auto receipt = (*set)->Append("a", text, w * kSpan + 100 + b);
+      ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+      for (uint64_t i = 0; i < lines.size(); ++i) {
+        reference.emplace_back(receipt->first_global_line + i,
+                               std::string(lines[i]));
+      }
+    }
+  }
+  ASSERT_EQ((*set)->live_shard_count(), 4u);
+
+  auto cold = (*set)->Query("shared-token", {});
+  auto warm = (*set)->Query("shared-token", {});
+  ASSERT_TRUE(cold.ok() && warm.ok());
+  EXPECT_EQ(cold->hits, reference);
+  EXPECT_EQ(warm->hits, reference);
+  EXPECT_EQ(warm->blocks_from_cache, 4 * kBlocksPerShard);
+
+  const SetCompactionReport report = (*set)->Compact();
+  ASSERT_TRUE(report.ok()) << report.Summary();
+  ASSERT_EQ(report.shards_merged, 3u);  // the active shard stays
+
+  // The merged shard's blocks are new cache keys: none of its 24 blocks is
+  // answered by a retired source's entry, only the active shard's 8 are.
+  Counter* misses = registry.GetOrCreate("query.box_cache.misses");
+  const uint64_t misses_before = misses->value();
+  auto merged = (*set)->Query("shared-token", {});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_TRUE(merged->complete());
+  EXPECT_EQ(merged->hits, reference);
+  EXPECT_EQ(merged->blocks_queried, 4 * kBlocksPerShard);
+  EXPECT_EQ(merged->blocks_from_cache, kBlocksPerShard);
+  EXPECT_GE(misses->value() - misses_before, 3 * kBlocksPerShard);
+  auto rewarmed = (*set)->Query("shared-token", {});
+  ASSERT_TRUE(rewarmed.ok());
+  EXPECT_EQ(rewarmed->hits, reference);
+  EXPECT_EQ(rewarmed->blocks_from_cache, 4 * kBlocksPerShard);
+
+  // One budget for all 56 blocks' worth of entries (sources, merged shard
+  // and active shard): each of the cache's 8 internal shards exceeds its
+  // slice only by keeping its freshest entry.
+  EXPECT_GT(registry.GetOrCreate("query.box_cache.evictions")->value(), 0u);
+  EXPECT_LE(registry.GetOrCreate("query.box_cache.bytes_in_use_hwm")->value(),
+            budget + 8 * block_bytes);
 }
 
 TEST(CompactionTest, MultiTenantInterleavedMergeKeepsGlobalOrder) {

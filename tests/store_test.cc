@@ -80,7 +80,7 @@ TEST(BlockMayMatchTest, ExpressionTable) {
   for (int i = 0; i < 50; ++i) {
     text += "alpha service widget-" + std::to_string(i) + " ok\n";
   }
-  const BlockInfo block = BuildBlockSummary(text, 10);
+  const BlockInfo block = BuildBlockSummary(text);
   struct Case {
     const char* command;
     bool may_match;
@@ -153,7 +153,7 @@ TEST(BlockMayMatchTest, PrunedBlocksHoldNoHits) {
       lines.push_back(line);
       text += line + "\n";
     }
-    const BlockInfo block = BuildBlockSummary(text, 10);
+    const BlockInfo block = BuildBlockSummary(text);
 
     const auto keyword = [&]() -> std::string {
       std::string w = kVocab[rng.NextBelow(kVocabSize)];
@@ -438,7 +438,7 @@ TEST_F(LogArchiveTest, CommitKillPointsLeaveOldStateVisible) {
 
     // A commit that dies at `point` must not disturb the committed state.
     const std::string text = "victim entry upsilon 2\n";
-    BlockInfo info = BuildBlockSummary(text, 10);
+    BlockInfo info = BuildBlockSummary(text);
     LogGrepEngine engine;
     Status s = archive->CommitCompressedBlock(
         engine.CompressBlock(text), std::move(info),
@@ -486,7 +486,7 @@ TEST_F(LogArchiveTest, GlobalLineNumbersPastFourBillionDoNotWrap) {
 
   constexpr uint64_t kFarStart = (5ull << 32) + 123;  // > UINT32_MAX
   const std::string text = "deep entry kappa 1\nsecond deep entry lambda 2\n";
-  BlockInfo info = BuildBlockSummary(text, 10);
+  BlockInfo info = BuildBlockSummary(text);
   info.first_line = kFarStart;
   LogGrepEngine engine;
   ASSERT_TRUE(
@@ -527,7 +527,7 @@ TEST_F(LogArchiveTest, PresetFirstLineBelowEndIsClampedContiguous) {
   ASSERT_TRUE(archive.ok());
   ASSERT_TRUE(archive->AppendBlock("one alpha\ntwo alpha\nthree alpha\n").ok());
   const std::string text = "four beta\n";
-  BlockInfo info = BuildBlockSummary(text, 10);
+  BlockInfo info = BuildBlockSummary(text);
   info.first_line = 1;  // would overlap the first block; must be clamped
   LogGrepEngine engine;
   ASSERT_TRUE(
@@ -590,7 +590,7 @@ TEST_F(LogArchiveTest, CacheDisabledArchiveStillAnswersCorrectly) {
     EXPECT_GT(result->locator.cache_misses, 0u);
     EXPECT_FALSE(result->partial.partial());
   }
-  const BoxCacheStats stats = archive->box_cache()->Stats();
+  const BoxCacheStats stats = archive->engine().box_cache()->Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes_in_use, 0u);
 
