@@ -496,13 +496,6 @@ Result<CapsuleBox> CapsuleBox::Open(std::string_view bytes) {
   return box;
 }
 
-Result<uint64_t> CapsuleBox::CapsuleCompressedSize(uint32_t id) const {
-  if (id >= directory_.size()) {
-    return NotFound("capsule_box: capsule id out of range");
-  }
-  return directory_[id].second;
-}
-
 Result<std::string> CapsuleBox::ReadCapsule(uint32_t id) const {
   if (id >= directory_.size()) {
     return NotFound("capsule_box: capsule id out of range");

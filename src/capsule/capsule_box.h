@@ -111,8 +111,6 @@ class CapsuleBox {
 
   const CapsuleBoxMeta& meta() const { return meta_; }
   size_t CapsuleCount() const { return directory_.size(); }
-  // Compressed size of one capsule (for accounting).
-  Result<uint64_t> CapsuleCompressedSize(uint32_t id) const;
   Result<std::string> ReadCapsule(uint32_t id) const;
 
  private:

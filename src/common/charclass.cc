@@ -133,18 +133,4 @@ TypeMask TypeMaskOf(std::string_view s) {
 
 int MaskTypeCount(TypeMask mask) { return std::popcount(static_cast<unsigned>(mask)); }
 
-std::string MaskToString(TypeMask mask) {
-  static constexpr const char* kNames[6] = {"0-9", "a-f", "A-F", "g-z", "G-Z", "other"};
-  std::string out;
-  for (int i = 0; i < 6; ++i) {
-    if (mask & (1u << i)) {
-      if (!out.empty()) {
-        out += '|';
-      }
-      out += kNames[i];
-    }
-  }
-  return out;
-}
-
 }  // namespace loggrep

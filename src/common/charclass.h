@@ -9,7 +9,6 @@
 #define SRC_COMMON_CHARCLASS_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace loggrep {
@@ -39,9 +38,6 @@ inline bool MaskSubsumes(TypeMask capsule, TypeMask keyword) {
 // Number of distinct character classes set in the mask (paper reports e.g.
 // "3.1 types of characters on average").
 int MaskTypeCount(TypeMask mask);
-
-// Debug rendering, e.g. "0-9|A-F".
-std::string MaskToString(TypeMask mask);
 
 }  // namespace loggrep
 

@@ -58,20 +58,6 @@ HistogramSnapshot RollingHistogram::WindowedSnapshot(uint64_t now_ns) const {
   return merged;
 }
 
-HistogramSnapshot RollingHistogram::WindowSnapshot(uint64_t now_ns,
-                                                   size_t back) const {
-  const uint64_t current = now_ns / window_ns_;
-  if (back >= slots_.size() || back > current) {
-    return {};
-  }
-  const uint64_t w = current - back;
-  const Slot* slot = slots_[w % slots_.size()].get();
-  if (slot->epoch.load(std::memory_order_acquire) != w) {
-    return {};
-  }
-  return slot->hist.Snapshot();
-}
-
 RollingCounter::RollingCounter(size_t num_windows, uint64_t window_ns)
     : window_ns_(window_ns == 0 ? 1 : window_ns) {
   if (num_windows == 0) {

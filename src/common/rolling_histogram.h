@@ -53,10 +53,6 @@ class RollingHistogram {
   // a quiet period truly empties the view).
   HistogramSnapshot WindowedSnapshot(uint64_t now_ns) const;
 
-  // Snapshot of the single window `back` windows before the current one
-  // (0 = current partial window). Empty snapshot when expired / never used.
-  HistogramSnapshot WindowSnapshot(uint64_t now_ns, size_t back) const;
-
   size_t num_windows() const { return slots_.size(); }
   uint64_t window_ns() const { return window_ns_; }
 

@@ -6,25 +6,6 @@
 
 namespace loggrep {
 
-std::vector<std::string_view> SplitNonEmpty(std::string_view text,
-                                            std::string_view delims) {
-  std::array<bool, 256> is_delim{};
-  for (char d : delims) {
-    is_delim[static_cast<unsigned char>(d)] = true;
-  }
-  std::vector<std::string_view> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || is_delim[static_cast<unsigned char>(text[i])]) {
-      if (i > start) {
-        out.push_back(text.substr(start, i - start));
-      }
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 bool ParseUint64(std::string_view text, uint64_t* out) {
   // from_chars takes no sign or space for unsigned types and fails on an
   // empty string; a partly-parsed string fails the full-length check.
@@ -37,18 +18,6 @@ bool ParseUint64(std::string_view text, uint64_t* out) {
   }
   *out = value;
   return true;
-}
-
-std::vector<std::string_view> SplitKeepEmpty(std::string_view text, char delim) {
-  std::vector<std::string_view> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == delim) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
 }
 
 std::string_view LongestCommonSubstring(std::string_view a, std::string_view b) {
@@ -86,18 +55,6 @@ std::string DistinctNonAlnumChars(std::string_view s) {
       seen[static_cast<unsigned char>(c)] = true;
       out += c;
     }
-  }
-  return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) {
-      out += sep;
-    }
-    out += parts[i];
   }
   return out;
 }

@@ -15,22 +15,12 @@ inline bool IsAsciiAlpha(char c) {
 }
 inline bool IsAsciiAlnum(char c) { return IsAsciiDigit(c) || IsAsciiAlpha(c); }
 
-// Splits on any character of `delims`; empty pieces are dropped.
-std::vector<std::string_view> SplitNonEmpty(std::string_view text,
-                                            std::string_view delims);
-
-// Splits on a single delimiter character, keeping empty pieces.
-std::vector<std::string_view> SplitKeepEmpty(std::string_view text, char delim);
-
 // Longest common substring of `a` and `b` (first leftmost-in-`a` maximum).
 // O(|a|*|b|) dynamic programming — only ever run on two sampled values.
 std::string_view LongestCommonSubstring(std::string_view a, std::string_view b);
 
 // All distinct non-alphanumeric characters of `s`, in first-occurrence order.
 std::string DistinctNonAlnumChars(std::string_view s);
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
 
 // Parses all of `text` as a decimal uint64: digits only (no sign, no
 // space, no trailing bytes), and no overflow. Returns false on anything

@@ -100,9 +100,4 @@ void QuerySession::Reset() {
   engine_->ClearCache();
 }
 
-void QuerySession::Rebind(std::string_view box_bytes) {
-  Reset();
-  box_ = box_bytes;
-}
-
 }  // namespace loggrep

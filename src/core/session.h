@@ -44,14 +44,6 @@ class QuerySession {
   // unchanged: Reset is "same data, new hypothesis".
   void Reset();
 
-  // Point the session at different box bytes ("same hypothesis, new data"):
-  // the serving layer calls this when the archive set rolls the shard a
-  // session was following mid-session. Defined as Reset + swap: every
-  // refinement/memo shortcut is dropped, so no post-rebind query can ever be
-  // answered from the previous box's hits. The new view must outlive the
-  // session, like the constructor argument.
-  void Rebind(std::string_view box_bytes);
-
   std::string_view box() const { return box_; }
 
  private:

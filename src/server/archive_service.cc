@@ -295,7 +295,6 @@ Result<std::shared_ptr<ArchiveService::Handle>> ArchiveService::GetOrOpen(
   if (env->FileExists(ArchiveSet::SetManifestPath(dir))) {
     ArchiveSetOptions set_options;
     set_options.archive = options_.archive;
-    set_options.event_log = options_.set_event_log;
     Result<std::unique_ptr<ArchiveSet>> set = ArchiveSet::Open(dir, set_options);
     if (!set.ok()) {
       return set.status();
@@ -411,38 +410,18 @@ ServiceResponse ArchiveService::Compact(const std::string& archive) {
   return response;
 }
 
-ArchiveService::FederationSummary ArchiveService::federation_summary() const {
-  FederationSummary summary;
-  std::vector<std::shared_ptr<Handle>> sets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, handle] : handles_) {
-      if (handle->set != nullptr) {
-        sets.push_back(handle);
-      }
-    }
-  }
-  for (const auto& handle : sets) {
-    // janitor_status / compaction_totals take the set's own locks.
-    ++summary.sets_open;
-    const ArchiveSet::JanitorStatus janitor = handle->set->janitor_status();
-    summary.janitor_passes += janitor.passes;
-    summary.janitor_errors += janitor.errors;
-    if (!janitor.last_error.empty()) {
-      summary.janitor_last_error = janitor.last_error;
-    }
-    const ArchiveSet::CompactionTotals totals =
-        handle->set->compaction_totals();
-    summary.compaction_merges += totals.merges;
-    summary.compaction_shards_merged += totals.shards_merged;
-    summary.compaction_failures += totals.failures;
-  }
-  return summary;
-}
-
 size_t ArchiveService::open_archives() const {
   std::lock_guard<std::mutex> lock(mu_);
   return handles_.size();
+}
+
+size_t ArchiveService::open_sets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t n = 0;
+  for (const auto& [name, handle] : handles_) {
+    n += handle->set != nullptr ? 1 : 0;
+  }
+  return n;
 }
 
 void ArchiveService::Clear() {

@@ -45,7 +45,6 @@
 #define SRC_SERVER_ARCHIVE_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,13 +69,6 @@ struct ServiceOptions {
   // parameter is a relative path below this root; "" or "." is the root
   // itself. Absolute paths and ".." components are rejected.
   std::string root;
-
-  // Structured event sink wired into every opened ArchiveSet (janitor step
-  // failures, compaction merges — one JSON object per call). The daemon
-  // routes this into its access log so set maintenance shares the request
-  // log's transport. Called from janitor/compaction threads; must be
-  // thread-safe and must outlive the service's handles.
-  std::function<void(const std::string& json_line)> set_event_log;
 };
 
 struct ServiceRequest {
@@ -169,28 +161,17 @@ class ArchiveService {
   // access-log stats.
   ServiceResponse Run(const ServiceRequest& request);
 
-  // Admin: runs one compaction pass over the named ArchiveSet with the
-  // store's default CompactionPolicy. 200 + report JSON on success, 400
-  // when the target is a plain (non-federated) archive, 404/500 as usual.
+  // Admin: runs one compaction pass (ArchiveSet::Compact) over the named
+  // ArchiveSet. 200 + report JSON on success, 400 when the target is a
+  // plain (non-federated) archive, 404/500 as usual.
   // ArchiveSet::Compact is internally safe against concurrent queries, and
   // a long merge does not stall reads.
   ServiceResponse Compact(const std::string& archive);
 
-  // Aggregate janitor/compaction state across every open ArchiveSet handle
-  // (for /statusz and /metrics gauges).
-  struct FederationSummary {
-    size_t sets_open = 0;
-    uint64_t janitor_passes = 0;
-    uint64_t janitor_errors = 0;
-    std::string janitor_last_error;  // most recent across sets; "" if none
-    uint64_t compaction_merges = 0;
-    uint64_t compaction_shards_merged = 0;
-    uint64_t compaction_failures = 0;
-  };
-  FederationSummary federation_summary() const;
-
-  // Number of archives currently held open (for /healthz and tests).
+  // Number of archives currently held open (for /healthz and tests), and
+  // how many of them are ArchiveSet roots (for /statusz and /metrics).
   size_t open_archives() const;
+  size_t open_sets() const;
 
   // Drops every open handle (the daemon calls this on shutdown so archives
   // release their caches before the process exits).

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "src/common/build_info.h"
@@ -115,16 +116,6 @@ LoggrepDaemon::LoggrepDaemon(DaemonOptions options)
     options_.service.archive.metrics = metrics_;
   }
   access_log_ = std::make_unique<AccessLog>(options_.access_log);
-  // Set maintenance events (janitor step failures, compaction merges) ride
-  // the access log's lock-free ring unless the caller wired its own sink.
-  // The handles emitting these die in Shutdown()/Clear(), strictly before
-  // this daemon's members — the access log outlives every emitter.
-  if (!options_.service.set_event_log) {
-    AccessLog* log = access_log_.get();
-    options_.service.set_event_log = [log](const std::string& line) {
-      log->Write(std::string(line));
-    };
-  }
   service_ = std::make_unique<ArchiveService>(options_.service);
   telemetry_ = std::make_unique<ServerTelemetry>(options_.telemetry);
   slow_log_ = std::make_unique<SlowQueryLog>(options_.slow_log_capacity);
@@ -375,14 +366,11 @@ HttpResponse LoggrepDaemon::Route(const HttpRequest& request,
     telemetry_->AppendWindowedMetrics(&body, Tracer::Global().NowNanos());
     AppendPrometheusGauge(&body, "loggrep_access_log_dropped",
                           static_cast<double>(access_log_->dropped()));
-    // The registry's set.janitor.* / set.compaction.* counters already
-    // export the maintenance totals; only the open-set gauge has no
-    // counter equivalent (re-emitting the totals as gauges here would
-    // duplicate metric names with conflicting types in one exposition).
-    const ArchiveService::FederationSummary fed =
-        service_->federation_summary();
+    // The registry's set.compaction.* counters already export the
+    // maintenance totals; only the open-set gauge has no counter
+    // equivalent.
     AppendPrometheusGauge(&body, "loggrep_sets_open",
-                          static_cast<double>(fed.sets_open));
+                          static_cast<double>(service_->open_sets()));
     AppendBuildInfoMetrics(&body);
     return TextResponse(200, std::move(body));
   }
@@ -620,14 +608,18 @@ std::string LoggrepDaemon::RenderStatuszPage(uint64_t now_ns) const {
   info.access_log_dropped = access_log_->dropped();
   info.slow_queries_captured = slow_log_->captured();
   info.slow_threshold_ns = options_.slow_query_threshold_ns;
-  const ArchiveService::FederationSummary fed = service_->federation_summary();
-  info.sets_open = fed.sets_open;
-  info.janitor_passes = fed.janitor_passes;
-  info.janitor_errors = fed.janitor_errors;
-  info.janitor_last_error = fed.janitor_last_error;
-  info.compaction_merges = fed.compaction_merges;
-  info.compaction_shards_merged = fed.compaction_shards_merged;
-  info.compaction_failures = fed.compaction_failures;
+  info.sets_open = service_->open_sets();
+  // Read, not GetOrCreate: a page view must not add zero-valued
+  // set.compaction.* series to /metrics.
+  const std::map<std::string, uint64_t> counters =
+      options_.service.archive.metrics->Snapshot();
+  auto counter = [&counters](const char* name) -> uint64_t {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  };
+  info.compaction_merges = counter("set.compaction.merges");
+  info.compaction_shards_merged = counter("set.compaction.shards_merged");
+  info.compaction_failures = counter("set.compaction.failures");
   return RenderStatusz(*telemetry_, info, now_ns);
 }
 

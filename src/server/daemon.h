@@ -182,9 +182,6 @@ class LoggrepDaemon {
   DaemonOptions options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
-  // Declared (and constructed) before service_: ArchiveSet handles owned by
-  // the service emit maintenance events into this log from janitor and
-  // compaction threads, so it must be destroyed after them.
   std::unique_ptr<AccessLog> access_log_;
   std::unique_ptr<ArchiveService> service_;
   std::unique_ptr<ServerTelemetry> telemetry_;

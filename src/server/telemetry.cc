@@ -143,19 +143,11 @@ std::string RenderStatusz(const ServerTelemetry& telemetry,
     std::snprintf(fed, sizeof(fed),
                   "\n"
                   "federation maintenance (%zu set(s) open)\n"
-                  "  janitor            %" PRIu64 " passes, %" PRIu64
-                  " errors\n"
                   "  compaction         %" PRIu64 " merges (%" PRIu64
                   " shards merged), %" PRIu64 " failures\n",
-                  info.sets_open, info.janitor_passes, info.janitor_errors,
-                  info.compaction_merges, info.compaction_shards_merged,
-                  info.compaction_failures);
+                  info.sets_open, info.compaction_merges,
+                  info.compaction_shards_merged, info.compaction_failures);
     page.append(fed);
-    if (!info.janitor_last_error.empty()) {
-      page.append("  janitor_last_error ");
-      page.append(info.janitor_last_error);
-      page.push_back('\n');
-    }
   }
   return page;
 }

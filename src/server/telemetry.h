@@ -95,11 +95,9 @@ struct StatuszInfo {
   uint64_t access_log_dropped = 0;
   uint64_t slow_queries_captured = 0;
   uint64_t slow_threshold_ns = 0;
-  // Federation maintenance (aggregated across open ArchiveSet handles).
+  // Federation maintenance: open ArchiveSet handles, and the registry's
+  // set.compaction.* counters (0 until a compaction pass runs).
   size_t sets_open = 0;
-  uint64_t janitor_passes = 0;
-  uint64_t janitor_errors = 0;
-  std::string janitor_last_error;  // "" when no janitor step has failed
   uint64_t compaction_merges = 0;
   uint64_t compaction_shards_merged = 0;
   uint64_t compaction_failures = 0;

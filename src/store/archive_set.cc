@@ -1,7 +1,6 @@
 #include "src/store/archive_set.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <utility>
 
@@ -304,8 +303,6 @@ ArchiveSet::ArchiveSet(std::string root, ArchiveSetOptions options)
     : root_(std::move(root)),
       options_(std::move(options)),
       engine_(LogArchive::MakeEngine(options_.archive)) {}
-
-ArchiveSet::~ArchiveSet() { StopJanitor(); }
 
 Result<std::unique_ptr<ArchiveSet>> ArchiveSet::Create(
     std::string root, ArchiveSetOptions options) {
@@ -984,10 +981,6 @@ SetRepairReport ArchiveSet::RepairAll() {
 // ---------------------------------------------------------------------------
 
 SetCompactionReport ArchiveSet::Compact() {
-  return Compact(options_.compaction);
-}
-
-SetCompactionReport ArchiveSet::Compact(const CompactionPolicy& policy) {
   // One compactor at a time: the build phase runs outside mu_, so mu_ alone
   // would let two callers plan — and race to commit — the same sources.
   std::lock_guard<std::mutex> serial(compact_mu_);
@@ -1039,8 +1032,7 @@ SetCompactionReport ArchiveSet::Compact(const CompactionPolicy& policy) {
         ++report.skipped_quarantined;
       }
     }
-    std::vector<CompactionRun> runs = PlanCompaction(
-        shards_, policy, storage_env()->NowNanos(), excluded);
+    std::vector<CompactionRun> runs = PlanCompaction(shards_, excluded);
     report.runs_planned = runs.size();
     planned_generation = generation_;
     for (CompactionRun& run : runs) {
@@ -1059,45 +1051,44 @@ SetCompactionReport ArchiveSet::Compact(const CompactionPolicy& policy) {
   }
 
   for (const Planned& p : planned) {
-    const size_t committed_before = report.merges_committed;
+    // Build phase — no set lock held: queries and appends proceed against
+    // the sources while the merged shard grows in its staging dir.
+    const std::string staging = CompactionStagingDirName();
+    Result<MergedShardBuild> build = BuildMergedShard(
+        root_, staging, p.sources, options_.archive, engine_);
     Status status =
-        CompactOneRun(p.run, p.sources, planned_generation, &report);
-    if (!status.ok()) {
-      ++report.runs_aborted;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++compaction_totals_.failures;
-      }
-      if (options_.archive.metrics != nullptr) {
-        options_.archive.metrics->GetOrCreate("set.compaction.failures")
-            ->Increment();
-      }
+        build.ok() ? CommitMergedShard(p.run, p.sources, staging, *build,
+                                       planned_generation, &report)
+                   : build.status();
+    if (status.ok()) {
+      continue;
+    }
+    ++report.runs_aborted;
+    if (options_.archive.metrics != nullptr) {
+      options_.archive.metrics->GetOrCreate("set.compaction.failures")
+          ->Increment();
+    }
+    if (report.fatal.ok()) {
       report.fatal = status;
-      EmitEvent("compaction.run", status);
-      break;  // a failed (or kill-aborted) run ends the pass; retried later
     }
-    if (report.merges_committed > committed_before) {
-      EmitEvent("compaction.merge", OkStatus());
+    if (build.ok()) {
+      break;  // a kill-point abort or a commit-phase failure ends the pass
     }
+    // A failed build changed nothing outside its staging dir: drop that and
+    // move on to the next run.
+    RemoveTreeBestEffort(JoinPath(root_, staging));
   }
   return report;
 }
 
-Status ArchiveSet::CompactOneRun(const CompactionRun& run,
-                                 const std::vector<ShardInfo>& sources,
-                                 uint64_t planned_generation,
-                                 SetCompactionReport* report) {
-  // Build phase — no set lock held: queries and appends proceed against the
-  // sources while the merged shard grows in its staging dir.
-  const std::string staging = CompactionStagingDirName();
+Status ArchiveSet::CommitMergedShard(const CompactionRun& run,
+                                     const std::vector<ShardInfo>& sources,
+                                     const std::string& staging,
+                                     const MergedShardBuild& build,
+                                     uint64_t planned_generation,
+                                     SetCompactionReport* report) {
   const std::string staging_path = JoinPath(root_, staging);
   auto remove_staging = [&] { RemoveTreeBestEffort(staging_path); };
-  Result<MergedShardBuild> build =
-      BuildMergedShard(root_, staging, sources, options_.archive, engine_);
-  if (!build.ok()) {
-    remove_staging();
-    return build.status();
-  }
   if (Status killed = MaybeKill(SetKillPoint::kCompactStaged); !killed.ok()) {
     return killed;  // staging dir lingers exactly like a crash; Open sweeps it
   }
@@ -1155,11 +1146,11 @@ Status ArchiveSet::CompactOneRun(const CompactionRun& run,
   merged.line_base = sources.front().line_base;
   merged.line_span = sources.back().line_base + sources.back().line_span -
                      sources.front().line_base;
-  merged.lines = build->lines;
-  merged.raw_bytes = build->raw_bytes;
-  merged.stored_bytes = build->stored_bytes;
-  merged.min_ts_ns = build->min_ts_ns;
-  merged.max_ts_ns = build->max_ts_ns;
+  merged.lines = build.lines;
+  merged.raw_bytes = build.raw_bytes;
+  merged.stored_bytes = build.stored_bytes;
+  merged.min_ts_ns = build.min_ts_ns;
+  merged.max_ts_ns = build.max_ts_ns;
   merged.sealed = true;
   for (const ShardInfo& src : sources) {
     merged.window_start_ns = std::min(merged.window_start_ns, src.window_start_ns);
@@ -1205,8 +1196,6 @@ Status ArchiveSet::CompactOneRun(const CompactionRun& run,
   ++report->merges_committed;
   report->shards_merged += sources.size();
   report->merged_ids.push_back(id);
-  ++compaction_totals_.merges;
-  compaction_totals_.shards_merged += sources.size();
   if (options_.archive.metrics != nullptr) {
     options_.archive.metrics->GetOrCreate("set.compaction.merges")
         ->Increment();
@@ -1232,148 +1221,6 @@ Status ArchiveSet::CompactOneRun(const CompactionRun& run,
     return killed;
   }
   return OkStatus();
-}
-
-ArchiveSet::CompactionTotals ArchiveSet::compaction_totals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return compaction_totals_;
-}
-
-// ---------------------------------------------------------------------------
-// Janitor
-// ---------------------------------------------------------------------------
-
-void ArchiveSet::EmitEvent(const char* what, const Status& status) {
-  if (!options_.event_log) {
-    return;
-  }
-  std::string line = "{\"event\":";
-  AppendJsonString(&line, what);
-  line += ",\"ok\":";
-  line += status.ok() ? "true" : "false";
-  if (!status.ok()) {
-    line += ",\"error\":";
-    AppendJsonString(&line, status.ToString());
-  }
-  line += "}";
-  options_.event_log(line);
-}
-
-void ArchiveSet::JanitorPass(bool compaction) {
-  // Every step runs even when an earlier one fails (repair is most useful
-  // exactly when retention or compaction hit trouble), and every failure is
-  // counted, kept, and logged — never swallowed.
-  struct Step {
-    const char* name;
-    Status status;
-  };
-  std::vector<Step> steps;
-  {
-    Result<SetRetentionReport> retention =
-        RunRetention(storage_env()->NowNanos());
-    steps.push_back({"janitor.retention",
-                     retention.ok() ? retention->fatal : retention.status()});
-  }
-  steps.push_back({"janitor.repair", RepairAll().fatal});
-  if (compaction) {
-    // Mutual exclusion with retention is structural: both mutate shard
-    // state under mu_, and a compaction commit whose sources retention
-    // expired mid-build aborts on generation revalidation.
-    steps.push_back({"janitor.compaction", Compact().fatal});
-  }
-
-  size_t errors = 0;
-  std::string last_error;
-  for (const Step& step : steps) {
-    if (step.status.ok()) {
-      continue;
-    }
-    ++errors;
-    last_error = std::string(step.name) + ": " + step.status.ToString();
-    EmitEvent(step.name, step.status);
-    if (options_.archive.metrics != nullptr) {
-      options_.archive.metrics->GetOrCreate("set.janitor.errors")->Increment();
-    }
-  }
-  if (options_.archive.metrics != nullptr) {
-    options_.archive.metrics->GetOrCreate("set.janitor.passes")->Increment();
-  }
-  std::lock_guard<std::mutex> lock(janitor_mu_);
-  ++janitor_passes_;
-  janitor_errors_ += errors;
-  if (errors != 0) {
-    janitor_last_error_ = std::move(last_error);
-  }
-}
-
-void ArchiveSet::StartJanitor(uint64_t interval_ns) {
-  JanitorOptions options;
-  options.interval_ns = interval_ns;
-  StartJanitor(options);
-}
-
-void ArchiveSet::StartJanitor(const JanitorOptions& options) {
-  std::lock_guard<std::mutex> lock(janitor_mu_);
-  if (janitor_running_) {
-    return;  // idempotent: the first caller's cadence wins
-  }
-  JanitorOptions opts = options;
-  if (opts.interval_ns < kMinJanitorIntervalNs) {
-    opts.interval_ns = kMinJanitorIntervalNs;  // an interval of 0 must not
-                                               // become a busy spin
-  }
-  // The stop flag is shared with (and only with) the thread it stops: a
-  // StopJanitor racing a fresh StartJanitor can never leave a stale thread
-  // running against a re-armed flag.
-  auto stop = std::make_shared<bool>(false);
-  janitor_stop_ = stop;
-  janitor_running_ = true;
-  janitor_ = std::thread([this, opts, stop] {
-    std::unique_lock<std::mutex> lock(janitor_mu_);
-    bool first = true;
-    while (!*stop) {
-      if (!(first && opts.run_immediately)) {
-        janitor_cv_.wait_for(lock, std::chrono::nanoseconds(opts.interval_ns),
-                             [&] { return *stop; });
-        if (*stop) {
-          break;
-        }
-      }
-      first = false;
-      lock.unlock();
-      JanitorPass(opts.compaction);
-      lock.lock();
-    }
-  });
-}
-
-void ArchiveSet::StopJanitor() {
-  std::thread doomed;
-  {
-    std::lock_guard<std::mutex> lock(janitor_mu_);
-    if (!janitor_running_) {
-      return;  // concurrent StopJanitor calls: the first one owns the join
-    }
-    janitor_running_ = false;
-    if (janitor_stop_ != nullptr) {
-      *janitor_stop_ = true;
-    }
-    doomed = std::move(janitor_);
-  }
-  janitor_cv_.notify_all();
-  if (doomed.joinable()) {
-    doomed.join();
-  }
-}
-
-ArchiveSet::JanitorStatus ArchiveSet::janitor_status() const {
-  std::lock_guard<std::mutex> lock(janitor_mu_);
-  JanitorStatus status;
-  status.running = janitor_running_;
-  status.passes = janitor_passes_;
-  status.errors = janitor_errors_;
-  status.last_error = janitor_last_error_;
-  return status;
 }
 
 // ---------------------------------------------------------------------------

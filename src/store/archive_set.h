@@ -84,8 +84,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <condition_variable>
 #include <vector>
 
 #include "src/query/explain.h"
@@ -111,14 +109,6 @@ struct ArchiveSetOptions {
   // RunRetention(now) expires sealed shards whose newest event is older
   // than now - retention_ns. 0 = keep forever.
   uint64_t retention_ns = 0;
-  // Thresholds for Compact() and the janitor's compaction step.
-  CompactionPolicy compaction;
-  // Optional sink for structured one-line JSON events from background
-  // maintenance (janitor pass errors, compaction commits). The serving
-  // layer wires this into its access log so operator-relevant failures are
-  // never silently swallowed. Called without the set lock held; must be
-  // thread-safe.
-  std::function<void(const std::string& json_line)> event_log;
 };
 
 // What one Append did — enough for a caller (or an oracle) to know exactly
@@ -252,7 +242,6 @@ class ArchiveSet {
   static Result<std::unique_ptr<ArchiveSet>> Open(std::string root,
                                                   ArchiveSetOptions options = {});
 
-  ~ArchiveSet();
   ArchiveSet(const ArchiveSet&) = delete;
   ArchiveSet& operator=(const ArchiveSet&) = delete;
 
@@ -283,13 +272,13 @@ class ArchiveSet {
   // retention_ns == 0.
   Result<SetRetentionReport> RunRetention(uint64_t now_ns);
 
-  // Fleet-level janitor pass: RepairArchive over every live shard that has
+  // Fleet-level repair: RepairArchive over every live shard that has
   // quarantined blocks, then reloads the quarantine of any open handle so
   // reinstated blocks serve immediately.
   SetRepairReport RepairAll();
 
-  // Online compaction: plans runs of adjacent sealed same-tenant shards
-  // (PlanCompaction; shards with unrepaired quarantined blocks are
+  // Online compaction: plans runs of 2 to 8 adjacent sealed same-tenant
+  // shards (PlanCompaction; shards with unrepaired quarantined blocks are
   // excluded), builds each run's merged shard in a staging dir *outside*
   // the set lock (concurrent appends/queries proceed on the sources), then
   // commits it under the lock with the ordered protocol documented at the
@@ -297,51 +286,12 @@ class ArchiveSet {
   // Concurrent Compact() calls serialize on their own mutex; a run whose
   // sources changed under it (retention, a racing compactor) is aborted,
   // not committed. Returns per-call counts; `fatal` carries the first
-  // build/commit failure (later runs are still attempted unless the
-  // failure was a kill-point abort).
-  SetCompactionReport Compact();  // options_.compaction thresholds
-  SetCompactionReport Compact(const CompactionPolicy& policy);
-
-  // Background janitor: every interval (storage-env clock) runs one
-  // maintenance pass — retention (at the env's NowNanos), then RepairAll,
-  // then Compact when `options.compaction` allows. Pass failures are
-  // counted ("set.janitor.errors"), kept as a last-error string
-  // (janitor_status()), and emitted through ArchiveSetOptions::event_log —
-  // never silently swallowed. Idempotent start; StopJanitor joins the
-  // thread (also called by the destructor) and is itself safe to race from
-  // multiple threads.
-  struct JanitorOptions {
-    // Clamped up to kMinJanitorIntervalNs (an interval of 0 must not turn
-    // the janitor into a busy spin).
-    uint64_t interval_ns = 1'000'000'000;
-    // Run the first pass immediately instead of after the first interval
-    // (tests and operators kicking a freshly opened set).
-    bool run_immediately = false;
-    // Include the compaction step in each pass.
-    bool compaction = true;
-  };
-  // Documented floor for JanitorOptions::interval_ns.
-  static constexpr uint64_t kMinJanitorIntervalNs = 10'000'000;  // 10 ms
-  void StartJanitor(uint64_t interval_ns);  // default options, this interval
-  void StartJanitor(const JanitorOptions& options);
-  void StopJanitor();
-
-  // Observability snapshot of the background janitor.
-  struct JanitorStatus {
-    bool running = false;
-    uint64_t passes = 0;       // completed passes
-    uint64_t errors = 0;       // failed steps across all passes
-    std::string last_error;    // most recent failed step ("" = none yet)
-  };
-  JanitorStatus janitor_status() const;
-
-  // Lifetime compaction counters (this process; survives nothing).
-  struct CompactionTotals {
-    uint64_t merges = 0;         // merged shards committed
-    uint64_t shards_merged = 0;  // source shards superseded
-    uint64_t failures = 0;       // runs aborted by error or revalidation
-  };
-  CompactionTotals compaction_totals() const;
+  // failure. A run whose build fails is counted in runs_aborted and the
+  // pass moves on (nothing outside its staging dir changed); a kill-point
+  // abort or a commit-phase failure ends the pass. Merges and failed runs
+  // also count in the registry's set.compaction.{merges,shards_merged,
+  // failures}.
+  SetCompactionReport Compact();
 
   // Fault-injection hook for the set-level kill points above. Not
   // thread-safe; set before driving traffic.
@@ -405,16 +355,15 @@ class ArchiveSet {
   Result<size_t> RollShardLocked(const std::string& tenant, uint64_t ts_ns);
   // Runs the hook at `point`; non-null return aborts the caller.
   Status MaybeKill(SetKillPoint point) const;
-  // One planned merge: build outside the lock, commit under it. Updates
-  // `report` and the lifetime totals.
-  Status CompactOneRun(const CompactionRun& run,
-                       const std::vector<ShardInfo>& sources,
-                       uint64_t planned_generation,
-                       SetCompactionReport* report);
-  // One background maintenance pass (retention + repair [+ compaction]).
-  void JanitorPass(bool compaction);
-  // Emits a structured maintenance event through options_.event_log.
-  void EmitEvent(const char* what, const Status& status);
+  // Commits one merged shard that BuildMergedShard left in `staging`
+  // (under the set lock: revalidate, rename, manifest rewrite, source GC).
+  // Updates `report`.
+  Status CommitMergedShard(const CompactionRun& run,
+                           const std::vector<ShardInfo>& sources,
+                           const std::string& staging,
+                           const MergedShardBuild& build,
+                           uint64_t planned_generation,
+                           SetCompactionReport* report);
 
   std::string root_;
   ArchiveSetOptions options_;
@@ -444,19 +393,6 @@ class ArchiveSet {
   // Serializes concurrent Compact() calls (the build phase runs outside
   // mu_, so mu_ alone would let two compactors plan the same sources).
   std::mutex compact_mu_;
-  CompactionTotals compaction_totals_;  // guarded by mu_
-
-  // Janitor thread. The stop flag is owned per-thread (shared with the
-  // thread it stops) so a Stop racing a Start can never confuse a stale
-  // janitor into outliving its stop request.
-  std::thread janitor_;
-  mutable std::mutex janitor_mu_;
-  std::condition_variable janitor_cv_;
-  std::shared_ptr<bool> janitor_stop_;  // guarded by janitor_mu_
-  bool janitor_running_ = false;
-  uint64_t janitor_passes_ = 0;      // guarded by janitor_mu_
-  uint64_t janitor_errors_ = 0;      // guarded by janitor_mu_
-  std::string janitor_last_error_;   // guarded by janitor_mu_
 };
 
 }  // namespace loggrep

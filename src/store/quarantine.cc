@@ -60,16 +60,6 @@ bool QuarantineSet::Remove(uint32_t seq) {
   return true;
 }
 
-size_t QuarantineSet::tombstoned_count() const {
-  size_t n = 0;
-  for (const QuarantineEntry& e : entries) {
-    if (e.tombstoned) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::string QuarantinePath(const std::string& dir) {
   return dir + "/quarantine.json";
 }

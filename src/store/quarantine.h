@@ -51,7 +51,6 @@ struct QuarantineSet {
   bool Add(QuarantineEntry entry);
   bool Remove(uint32_t seq);
   bool empty() const { return entries.empty(); }
-  size_t tombstoned_count() const;
 };
 
 // `<dir>/quarantine.json`.

@@ -95,92 +95,48 @@ RollReason DecideRoll(const ShardInfo* active, uint64_t ts_ns,
   return RollReason::kNone;
 }
 
-namespace {
-
-// Policy gates that look at one shard in isolation (run-shape gates —
-// adjacency, run length, run bytes — live in PlanCompaction itself).
-bool IsCompactionCandidate(const ShardInfo& shard,
-                           const CompactionPolicy& policy, uint64_t now_ns,
-                           const std::set<uint64_t>& excluded_ids) {
-  if (!shard.sealed || !shard.live() || shard.empty()) {
-    return false;
-  }
-  if (excluded_ids.count(shard.id) != 0) {
-    return false;
-  }
-  if (policy.max_source_raw_bytes != 0 &&
-      shard.raw_bytes >= policy.max_source_raw_bytes) {
-    return false;
-  }
-  if (policy.min_idle_ns != 0) {
-    // max_ts_ns + min_idle_ns may not exceed now; phrase it without overflow.
-    if (shard.max_ts_ns > now_ns || now_ns - shard.max_ts_ns < policy.min_idle_ns) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 std::vector<CompactionRun> PlanCompaction(
-    const std::vector<ShardInfo>& shards, const CompactionPolicy& policy,
-    uint64_t now_ns, const std::set<uint64_t>& excluded_ids) {
+    const std::vector<ShardInfo>& shards,
+    const std::set<uint64_t>& excluded_ids) {
   std::vector<CompactionRun> runs;
-  const size_t min_run = policy.min_run_shards < 2 ? 2 : policy.min_run_shards;
-  const size_t max_run =
-      policy.max_run_shards < min_run ? min_run : policy.max_run_shards;
+  // Per-tenant open run being grown. A shard extends the current run for
+  // its tenant only when it is that tenant's *next* live shard in manifest
+  // order; any same-tenant non-candidate in between closes the run.
+  std::vector<CompactionRun> open;  // one per tenant
 
-  // Per-tenant open run being grown. Keyed implicitly: a shard extends the
-  // current run for its tenant only when it is that tenant's *next* live
-  // shard in manifest order; any same-tenant non-candidate in between closes
-  // the run.
-  struct OpenRun {
-    CompactionRun run;
-    uint64_t raw_bytes = 0;
-  };
-  std::vector<std::pair<std::string, OpenRun>> open;  // tenant -> run
-
-  auto close_run = [&](const std::string& tenant, OpenRun* o) {
-    if (o->run.shard_ids.size() >= min_run) {
-      runs.push_back(std::move(o->run));
+  auto close_run = [&](CompactionRun* o) {
+    if (o->shard_ids.size() >= kMinCompactionRunShards) {
+      runs.push_back(*o);
     }
-    o->run.tenant = tenant;
-    o->run.shard_ids.clear();
-    o->raw_bytes = 0;
+    o->shard_ids.clear();
   };
 
   for (const ShardInfo& shard : shards) {
     if (!shard.live()) {
       continue;  // tombstones break no run: they sit between live shards
     }
-    OpenRun* o = nullptr;
-    for (auto& entry : open) {
-      if (entry.first == shard.tenant) {
-        o = &entry.second;
+    CompactionRun* o = nullptr;
+    for (CompactionRun& run : open) {
+      if (run.tenant == shard.tenant) {
+        o = &run;
         break;
       }
     }
     if (o == nullptr) {
-      open.emplace_back(shard.tenant, OpenRun{});
-      o = &open.back().second;
-      o->run.tenant = shard.tenant;
+      open.push_back(CompactionRun{shard.tenant, {}});
+      o = &open.back();
     }
-    if (!IsCompactionCandidate(shard, policy, now_ns, excluded_ids)) {
-      close_run(shard.tenant, o);
-      continue;
+    const bool candidate = shard.sealed && !shard.empty() &&
+                           excluded_ids.count(shard.id) == 0;
+    if (!candidate || o->shard_ids.size() >= kMaxCompactionRunShards) {
+      close_run(o);
     }
-    if (!o->run.shard_ids.empty() &&
-        (o->run.shard_ids.size() >= max_run ||
-         (policy.max_run_raw_bytes != 0 &&
-          o->raw_bytes + shard.raw_bytes > policy.max_run_raw_bytes))) {
-      close_run(shard.tenant, o);
+    if (candidate) {
+      o->shard_ids.push_back(shard.id);
     }
-    o->run.shard_ids.push_back(shard.id);
-    o->raw_bytes += shard.raw_bytes;
   }
-  for (auto& entry : open) {
-    close_run(entry.first, &entry.second);
+  for (CompactionRun& o : open) {
+    close_run(&o);
   }
   // close_run appends in per-tenant completion order; re-establish manifest
   // order (runs are disjoint, so ordering by first shard id's position is

@@ -137,26 +137,11 @@ std::string ShardPruneReason(const ShardInfo& shard,
 // ---------------------------------------------------------------------------
 // Compaction planning (pure; ArchiveSet::Compact executes the plan).
 
-// Thresholds deciding which sealed shards are worth merging. Defaults suit
-// the janitor; tests and the CLI tighten them.
-struct CompactionPolicy {
-  // A run shorter than this is left alone (merging one shard is a no-op and
-  // merging pairs too eagerly churns I/O for little fan-out win).
-  size_t min_run_shards = 2;
-  // At most this many sources per merged shard, so a single merge stays a
-  // bounded amount of I/O and a bounded crash-recovery window.
-  size_t max_run_shards = 8;
-  // Size threshold: only shards with raw_bytes below this are candidates —
-  // already-large (typically already-merged) shards are left alone.
-  // 0 = no size threshold.
-  uint64_t max_source_raw_bytes = 0;
-  // Byte cap on one merged shard's raw input. 0 = uncapped.
-  uint64_t max_run_raw_bytes = 0;
-  // Age threshold: a shard is a candidate only once its newest event is at
-  // least this old relative to `now_ns` (recently sealed shards may still
-  // be hot). 0 = no age gate.
-  uint64_t min_idle_ns = 0;
-};
+// Run length bounds of one merge. A shorter run is left alone (merging one
+// shard is a no-op); a longer one is split, so a single merge stays a
+// bounded amount of I/O and a bounded crash-recovery window.
+inline constexpr size_t kMinCompactionRunShards = 2;
+inline constexpr size_t kMaxCompactionRunShards = 8;
 
 // One planned merge: adjacent candidate shards of a single tenant, in
 // line_base order (== manifest order).
@@ -167,17 +152,14 @@ struct CompactionRun {
 
 // Selects runs of adjacent sealed same-tenant shards worth merging.
 // A candidate is sealed, live (neither expired nor superseded), non-empty,
-// not in `excluded_ids` (ArchiveSet passes shards with unrepaired
+// and not in `excluded_ids` (ArchiveSet passes shards with unrepaired
 // quarantined blocks — their holes are not final, so their bytes must not
-// be frozen into a merged shard), and passes the policy's size/age gates.
-// Adjacency is within a tenant's live shards in manifest order: shards of
-// *other* tenants interleaved between two candidates do not break a run,
-// but a non-candidate shard of the same tenant does. Runs are disjoint and
-// returned in manifest order; each honors max_run_shards/max_run_raw_bytes
-// and contains at least min_run_shards shards.
+// be frozen into a merged shard). Adjacency is within a tenant's live
+// shards in manifest order: shards of *other* tenants interleaved between
+// two candidates do not break a run, but a non-candidate shard of the same
+// tenant does. Runs are disjoint and returned in manifest order; each holds
+// kMinCompactionRunShards to kMaxCompactionRunShards shards.
 std::vector<CompactionRun> PlanCompaction(const std::vector<ShardInfo>& shards,
-                                          const CompactionPolicy& policy,
-                                          uint64_t now_ns,
                                           const std::set<uint64_t>& excluded_ids);
 
 }  // namespace loggrep

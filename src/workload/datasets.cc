@@ -608,16 +608,6 @@ std::vector<const DatasetSpec*> ProductionDatasets() {
   return out;
 }
 
-std::vector<const DatasetSpec*> PublicDatasets() {
-  std::vector<const DatasetSpec*> out;
-  for (const DatasetSpec& d : AllDatasets()) {
-    if (!d.production) {
-      out.push_back(&d);
-    }
-  }
-  return out;
-}
-
 const DatasetSpec* FindDataset(std::string_view name) {
   for (const DatasetSpec& d : AllDatasets()) {
     if (d.name == name) {

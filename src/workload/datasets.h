@@ -14,9 +14,8 @@ namespace loggrep {
 // All 37 datasets: production first (A..U), then the public ones.
 const std::vector<DatasetSpec>& AllDatasets();
 
-// Subsets by family.
+// The production family (A..U).
 std::vector<const DatasetSpec*> ProductionDatasets();
-std::vector<const DatasetSpec*> PublicDatasets();
 
 // nullptr when no dataset has that name.
 const DatasetSpec* FindDataset(std::string_view name);

@@ -812,24 +812,5 @@ TEST(ArchiveSetTest, RepairAllReinstatesAcrossShards) {
   EXPECT_EQ(healed->hits.size(), 3u);
 }
 
-TEST(ArchiveSetTest, JanitorRunsRetentionInBackground) {
-  const std::string root = TestDir("janitor");
-  ArchiveSetOptions options = SmallSetOptions();
-  options.retention_ns = 1;
-  auto set = ArchiveSet::Create(root, options);
-  ASSERT_TRUE(set.ok());
-  ASSERT_TRUE((*set)->Append("a", MakeText("w0", 2), 100).ok());
-  ASSERT_TRUE((*set)->Append("a", MakeText("w1", 2), 1100).ok());
-
-  // A fast janitor against the real clock: retention cut is far past both
-  // event timestamps, so the sealed window-0 shard expires within a tick.
-  (*set)->StartJanitor(/*interval_ns=*/1'000'000);  // 1ms
-  for (int i = 0; i < 500 && (*set)->live_shard_count() == 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  (*set)->StopJanitor();
-  EXPECT_EQ((*set)->live_shard_count(), 1u);
-}
-
 }  // namespace
 }  // namespace loggrep

@@ -54,35 +54,7 @@ TEST(CharClassTest, MaskTypeCount) {
   EXPECT_EQ(MaskTypeCount(kMaskAll), 6);
 }
 
-TEST(CharClassTest, MaskToString) {
-  EXPECT_EQ(MaskToString(TypeMaskOf("1A")), "0-9|A-F");
-  EXPECT_EQ(MaskToString(0), "");
-}
-
 // ---- string_util -----------------------------------------------------------
-
-TEST(StringUtilTest, SplitNonEmpty) {
-  const auto parts = SplitNonEmpty("a,,b c", ", ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(StringUtilTest, SplitNonEmptyNoDelims) {
-  const auto parts = SplitNonEmpty("abc", ",");
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
-TEST(StringUtilTest, SplitKeepEmpty) {
-  const auto parts = SplitKeepEmpty("a::b:", ':');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
 
 TEST(StringUtilTest, LongestCommonSubstring) {
   EXPECT_EQ(LongestCommonSubstring("8F8F8FE", "1F81F"), "F8");
@@ -109,11 +81,6 @@ TEST(StringUtilTest, ParseUint64TakesOnlyWholeDecimals) {
 TEST(StringUtilTest, DistinctNonAlnumChars) {
   EXPECT_EQ(DistinctNonAlnumChars("block_1F8.log_x"), "_.");
   EXPECT_EQ(DistinctNonAlnumChars("abc123"), "");
-}
-
-TEST(StringUtilTest, JoinStrings) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
 }
 
 TEST(StringUtilTest, LengthVariance) {

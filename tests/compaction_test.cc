@@ -1,8 +1,7 @@
 // Crash-safe online compaction: planning, merge correctness (exact global
 // line numbers, tombstone carry), the kill-point matrix (crash at every
-// protocol step -> reopen -> oracle-exact vs an uncompacted control), chaos
-// under fault injection with concurrent queries, and the hardened janitor
-// (error accounting, interval clamp, lifecycle races).
+// protocol step -> reopen -> oracle-exact vs an uncompacted control), and
+// chaos under fault injection with concurrent queries.
 #include "src/store/compaction.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -51,8 +49,7 @@ ArchiveSetOptions SmallSetOptions() {
   return options;
 }
 
-ShardInfo MakeShard(uint64_t id, const std::string& tenant, bool sealed,
-                    uint64_t raw_bytes = 100, uint64_t max_ts = 500) {
+ShardInfo MakeShard(uint64_t id, const std::string& tenant, bool sealed) {
   ShardInfo s;
   s.id = id;
   s.tenant = tenant;
@@ -60,9 +57,9 @@ ShardInfo MakeShard(uint64_t id, const std::string& tenant, bool sealed,
   s.line_base = id * ArchiveSet::kShardLineSpan;
   s.line_span = ArchiveSet::kShardLineSpan;
   s.lines = 10;
-  s.raw_bytes = raw_bytes;
+  s.raw_bytes = 100;
   s.sealed = sealed;
-  s.max_ts_ns = max_ts;
+  s.max_ts_ns = 500;
   return s;
 }
 
@@ -75,8 +72,7 @@ TEST(PlanCompactionTest, MergesAdjacentSealedSameTenantShards) {
       MakeShard(2, "a", true),
       MakeShard(3, "a", false),  // active: never a candidate
   };
-  CompactionPolicy policy;
-  auto runs = PlanCompaction(shards, policy, /*now_ns=*/1'000'000, {});
+  auto runs = PlanCompaction(shards, {});
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].tenant, "a");
   EXPECT_EQ(runs[0].shard_ids, (std::vector<uint64_t>{0, 1, 2}));
@@ -85,7 +81,7 @@ TEST(PlanCompactionTest, MergesAdjacentSealedSameTenantShards) {
 TEST(PlanCompactionTest, SingleShardRunsAreNotWorthIt) {
   std::vector<ShardInfo> shards = {MakeShard(0, "a", true),
                                    MakeShard(1, "b", true)};
-  auto runs = PlanCompaction(shards, CompactionPolicy{}, 1'000'000, {});
+  auto runs = PlanCompaction(shards, {});
   EXPECT_TRUE(runs.empty());
 }
 
@@ -94,7 +90,7 @@ TEST(PlanCompactionTest, ForeignTenantDoesNotBreakARun) {
       MakeShard(0, "a", true), MakeShard(1, "b", true),
       MakeShard(2, "a", true), MakeShard(3, "b", true),
   };
-  auto runs = PlanCompaction(shards, CompactionPolicy{}, 1'000'000, {});
+  auto runs = PlanCompaction(shards, {});
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].shard_ids, (std::vector<uint64_t>{0, 2}));
   EXPECT_EQ(runs[1].shard_ids, (std::vector<uint64_t>{1, 3}));
@@ -106,9 +102,8 @@ TEST(PlanCompactionTest, ExcludedShardBreaksTheRun) {
       MakeShard(2, "a", true), MakeShard(3, "a", true),
   };
   // Excluding an interior shard splits [0..3] into [0,1] and [3]; the
-  // second fragment is below min_run_shards and is dropped.
-  auto runs =
-      PlanCompaction(shards, CompactionPolicy{}, 1'000'000, {uint64_t{2}});
+  // second fragment is below kMinCompactionRunShards and is dropped.
+  auto runs = PlanCompaction(shards, {uint64_t{2}});
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].shard_ids, (std::vector<uint64_t>{0, 1}));
 }
@@ -121,43 +116,20 @@ TEST(PlanCompactionTest, ExpiredAndSupersededAndEmptyAreNeverCandidates) {
   shards[0].expired = true;
   shards[1].superseded_by = 9;
   shards[2].lines = 0;
-  auto runs = PlanCompaction(shards, CompactionPolicy{}, 1'000'000, {});
+  auto runs = PlanCompaction(shards, {});
   EXPECT_TRUE(runs.empty());
 }
 
 TEST(PlanCompactionTest, MaxRunShardsSplitsLongRuns) {
   std::vector<ShardInfo> shards;
-  for (uint64_t i = 0; i < 7; ++i) {
+  for (uint64_t i = 0; i < 2 * kMaxCompactionRunShards + 1; ++i) {
     shards.push_back(MakeShard(i, "a", true));
   }
-  CompactionPolicy policy;
-  policy.max_run_shards = 3;
-  auto runs = PlanCompaction(shards, policy, 1'000'000, {});
-  ASSERT_EQ(runs.size(), 2u);  // 3 + 3; the trailing single is dropped
-  EXPECT_EQ(runs[0].shard_ids.size(), 3u);
-  EXPECT_EQ(runs[1].shard_ids.size(), 3u);
-}
-
-TEST(PlanCompactionTest, SizeAndAgeGates) {
-  std::vector<ShardInfo> shards = {
-      MakeShard(0, "a", true, /*raw_bytes=*/100, /*max_ts=*/500),
-      MakeShard(1, "a", true, /*raw_bytes=*/5000, /*max_ts=*/500),
-      MakeShard(2, "a", true, /*raw_bytes=*/100, /*max_ts=*/999'000),
-      MakeShard(3, "a", true, /*raw_bytes=*/100, /*max_ts=*/500),
-  };
-  CompactionPolicy policy;
-  policy.max_source_raw_bytes = 1000;  // shard 1 too large
-  policy.min_idle_ns = 10'000;         // shard 2 too fresh at now=1'000'000
-  auto runs = PlanCompaction(shards, policy, 1'000'000, {});
-  // 1 and 2 are non-candidates of the *same* tenant: they break adjacency,
-  // leaving fragments [0] and [3], both below min_run_shards.
-  EXPECT_TRUE(runs.empty());
-
-  policy.min_idle_ns = 0;
-  policy.max_source_raw_bytes = 0;  // gates off: one run of all four
-  runs = PlanCompaction(shards, policy, 1'000'000, {});
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].shard_ids.size(), 4u);
+  auto runs = PlanCompaction(shards, {});
+  ASSERT_EQ(runs.size(), 2u);  // 8 + 8; the trailing single is dropped
+  EXPECT_EQ(runs[0].shard_ids.size(), kMaxCompactionRunShards);
+  EXPECT_EQ(runs[1].shard_ids.size(), kMaxCompactionRunShards);
+  EXPECT_EQ(runs[1].shard_ids.back(), 2 * kMaxCompactionRunShards - 1);
 }
 
 // ---- staging dir names -----------------------------------------------------
@@ -546,7 +518,7 @@ TEST(CompactionTest, UnrepairedQuarantineExcludesTheShard) {
   ASSERT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.skipped_quarantined, 1u);
   // The quarantined interior shard broke the run: [0] and [2] are both
-  // below min_run_shards, so nothing merged.
+  // below kMinCompactionRunShards, so nothing merged.
   EXPECT_EQ(report.merges_committed, 0u);
   for (const ShardInfo& s : fx.set->shards()) {
     EXPECT_FALSE(s.superseded());
@@ -589,6 +561,50 @@ TEST(CompactionTest, RetentionExpiringASourceMidBuildAbortsTheRun) {
   auto after = fx.set->Query("shared-token", {});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->hits.size(), 9u);  // w0's 3 lines expired
+}
+
+TEST(CompactionTest, AFailedBuildDoesNotBlockLaterRuns) {
+  // Tenant a's run cannot be built: a source block is unreadable but not
+  // quarantined, so the planner keeps it. Nothing outside the staging dir
+  // changed, so tenant b's run must still merge in the same pass.
+  FaultInjectingStorageEnv env(FaultOptions{});
+  MetricsRegistry metrics;
+  ArchiveSetOptions options = SmallSetOptions();
+  options.archive.env = &env;
+  options.archive.metrics = &metrics;
+  SetFixture fx = BuildSet("merge-build-fails", {"a", "b"}, 3, options);
+  auto before = fx.set->Query("shared-token", {});
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->complete());
+  ASSERT_EQ(before->hits.size(), 18u);
+
+  const std::vector<ShardInfo> shards = fx.set->shards();
+  ASSERT_EQ(shards[0].tenant, "a");
+  env.AddPermanentFault(shards[0].dir_name + "/block-");
+  const SetCompactionReport report = fx.set->Compact();
+  env.ClearPermanentFaults();
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.runs_planned, 2u);
+  EXPECT_EQ(report.runs_aborted, 1u);
+  EXPECT_EQ(report.merges_committed, 1u);
+  EXPECT_EQ(report.shards_merged, 2u);
+  EXPECT_EQ(metrics.GetOrCreate("set.compaction.failures")->value(), 1u);
+  EXPECT_EQ(metrics.GetOrCreate("set.compaction.merges")->value(), 1u);
+  for (const ShardInfo& s : fx.set->shards()) {
+    if (s.tenant == "a") {
+      EXPECT_FALSE(s.superseded()) << s.dir_name;
+    }
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(fx.root)) {
+    EXPECT_FALSE(
+        LooksLikeCompactionStagingDir(entry.path().filename().string()));
+  }
+
+  auto after = fx.set->Query("shared-token", {});
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->complete()) << after->RenderPartial();
+  EXPECT_EQ(after->hits, before->hits);
+  EXPECT_EQ(after->shards_total, 5u);  // a: 3 shards; b: merged + active
 }
 
 // ---- kill-point matrix -----------------------------------------------------
@@ -746,13 +762,11 @@ TEST(CompactionChaosTest, ConcurrentQueriesNeverSeeAWrongAnswer) {
     });
   }
 
-  // The compactor churns against the queriers: aggressive thresholds,
-  // repeated passes (later passes see the merged shard — no candidates).
-  CompactionPolicy policy;
-  policy.min_run_shards = 2;
+  // The compactor churns against the queriers: repeated passes (later
+  // passes see the merged shard — no candidates).
   size_t merges = 0;
   for (int pass = 0; pass < 8; ++pass) {
-    const SetCompactionReport report = set->Compact(policy);
+    const SetCompactionReport report = set->Compact();
     // Transient build faults abort a pass; that is recoverable by design.
     merges += report.merges_committed;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -777,171 +791,6 @@ TEST(CompactionChaosTest, ConcurrentQueriesNeverSeeAWrongAnswer) {
   auto cold = (*reopened)->Query("shared-token", {});
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->hits, expected->hits);
-}
-
-// ---- janitor ---------------------------------------------------------------
-
-TEST(JanitorTest, ErrorsAreCountedKeptAndEmittedNeverSwallowed) {
-  FaultOptions fault_options;
-  FaultInjectingStorageEnv env(fault_options);
-  MetricsRegistry metrics;
-  ArchiveSetOptions options = SmallSetOptions();
-  options.archive.env = &env;
-  options.archive.metrics = &metrics;
-  options.retention_ns = 10 * kSpan;
-  std::mutex events_mu;
-  std::vector<std::string> events;
-  options.event_log = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(events_mu);
-    events.push_back(line);
-  };
-  SetFixture fx = BuildSet("janitor-errors", {"a"}, 2, options);
-  // Note: BuildSet used its own options; rebuild with the faulting ones.
-  fx.set.reset();
-  auto reopened = ArchiveSet::Open(fx.root, options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  fx.set = std::move(*reopened);
-
-  // Retention will expire w0 (now >> retention) but the manifest rewrite
-  // fails permanently: the janitor's retention step errors every pass.
-  env.AddPermanentFault("set_manifest.json", StatusCode::kIOError);
-
-  ArchiveSet::JanitorOptions jopts;
-  jopts.interval_ns = 3'600'000'000'000ull;  // effectively: only the first
-  jopts.run_immediately = true;
-  fx.set->StartJanitor(jopts);
-  ArchiveSet::JanitorStatus status;
-  for (int i = 0; i < 500; ++i) {
-    status = fx.set->janitor_status();
-    if (status.passes >= 1) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  fx.set->StopJanitor();
-  status = fx.set->janitor_status();
-  ASSERT_GE(status.passes, 1u);
-  EXPECT_GE(status.errors, 1u);
-  EXPECT_NE(status.last_error.find("janitor.retention"), std::string::npos)
-      << status.last_error;
-  EXPECT_FALSE(status.running);
-  EXPECT_GE(metrics.GetOrCreate("set.janitor.errors")->value(), 1u);
-  EXPECT_GE(metrics.GetOrCreate("set.janitor.passes")->value(), 1u);
-
-  std::lock_guard<std::mutex> lock(events_mu);
-  ASSERT_FALSE(events.empty());
-  bool saw_failure = false;
-  for (const std::string& line : events) {
-    if (line.find("\"event\":\"janitor.retention\"") != std::string::npos &&
-        line.find("\"ok\":false") != std::string::npos) {
-      saw_failure = true;
-    }
-  }
-  EXPECT_TRUE(saw_failure);
-}
-
-TEST(JanitorTest, RunsCompactionAfterRetentionAndRepair) {
-  MetricsRegistry metrics;
-  ArchiveSetOptions options = SmallSetOptions();
-  options.archive.metrics = &metrics;
-  SetFixture fx = BuildSet("janitor-compacts", {"a"}, 4, options);
-
-  ArchiveSet::JanitorOptions jopts;
-  jopts.interval_ns = 0;  // clamped to the documented minimum
-  jopts.run_immediately = true;
-  fx.set->StartJanitor(jopts);
-  ArchiveSet::CompactionTotals totals;
-  for (int i = 0; i < 1000; ++i) {
-    totals = fx.set->compaction_totals();
-    if (totals.merges >= 1) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  fx.set->StopJanitor();
-  EXPECT_GE(totals.merges, 1u);
-  EXPECT_GE(totals.shards_merged, 3u);
-  EXPECT_EQ(fx.set->live_shard_count(), 2u);
-  EXPECT_EQ(metrics.GetOrCreate("set.compaction.merges")->value(),
-            totals.merges);
-  auto result = fx.set->Query("shared-token", {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->hits.size(), 12u);
-}
-
-TEST(JanitorTest, CompactionStepCanBeDisabled) {
-  SetFixture fx = BuildSet("janitor-no-compact", {"a"}, 4);
-  ArchiveSet::JanitorOptions jopts;
-  jopts.interval_ns = 0;
-  jopts.run_immediately = true;
-  jopts.compaction = false;
-  fx.set->StartJanitor(jopts);
-  for (int i = 0; i < 50; ++i) {
-    if (fx.set->janitor_status().passes >= 3) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  fx.set->StopJanitor();
-  EXPECT_EQ(fx.set->compaction_totals().merges, 0u);
-  EXPECT_EQ(fx.set->live_shard_count(), 4u);
-}
-
-TEST(JanitorTest, ZeroIntervalIsClampedNotABusySpin) {
-  SetFixture fx = BuildSet("janitor-clamp", {"a"}, 1);
-  fx.set->StartJanitor(/*interval_ns=*/0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  fx.set->StopJanitor();
-  // 100ms at the 10ms documented floor is at most ~10 passes; an unclamped
-  // zero interval would have run thousands.
-  const ArchiveSet::JanitorStatus status = fx.set->janitor_status();
-  EXPECT_LE(status.passes, 40u);
-}
-
-TEST(JanitorTest, DoubleStartIsIdempotentAndStopIsSafeToRace) {
-  SetFixture fx = BuildSet("janitor-idempotent", {"a"}, 2);
-  ArchiveSet::JanitorOptions jopts;
-  jopts.interval_ns = 1'000'000;
-  jopts.run_immediately = true;
-  fx.set->StartJanitor(jopts);
-  fx.set->StartJanitor(jopts);  // no second thread, no leak
-  fx.set->StartJanitor(123);
-  EXPECT_TRUE(fx.set->janitor_status().running);
-  std::vector<std::thread> stoppers;
-  for (int i = 0; i < 4; ++i) {
-    stoppers.emplace_back([&] { fx.set->StopJanitor(); });
-  }
-  for (std::thread& t : stoppers) {
-    t.join();
-  }
-  EXPECT_FALSE(fx.set->janitor_status().running);
-  fx.set->StopJanitor();  // idempotent after stop
-}
-
-TEST(JanitorTest, StartStopHammeringAndDestructorMidPass) {
-  SetFixture fx = BuildSet("janitor-hammer", {"a"}, 3);
-  for (int i = 0; i < 50; ++i) {
-    ArchiveSet::JanitorOptions jopts;
-    jopts.interval_ns = 0;
-    jopts.run_immediately = (i % 2 == 0);
-    fx.set->StartJanitor(jopts);
-    if (i % 3 == 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    fx.set->StopJanitor();
-  }
-  EXPECT_FALSE(fx.set->janitor_status().running);
-
-  // Destructor while a pass may be mid-flight: must join, not crash.
-  {
-    SetFixture doomed = BuildSet("janitor-dtor", {"a"}, 4);
-    ArchiveSet::JanitorOptions jopts;
-    jopts.interval_ns = 0;
-    jopts.run_immediately = true;
-    doomed.set->StartJanitor(jopts);
-    // drop it immediately
-  }
-  SUCCEED();
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cctype>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -661,6 +662,102 @@ TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->http_status, 500) << strict->body;
   EXPECT_FALSE(strict->error.empty());
+}
+
+// Set maintenance runs only on request: POST /compact merges, the merge is
+// counted once (the registry's set.compaction.* counters, read by both
+// /statusz and /metrics), and the access log carries request lines only.
+TEST_F(ServerTest, ServedSetCompactionIsCountedOnStatuszAndMetrics) {
+  {
+    // One tenant over three windows: two sealed shards and the active one.
+    ArchiveSetOptions set_options;
+    set_options.window_span_ns = 1000;
+    set_options.max_shard_bytes = 0;
+    Result<std::unique_ptr<ArchiveSet>> set =
+        ArchiveSet::Create(root_ + "/fedset", set_options);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    for (uint64_t w = 0; w < 3; ++w) {
+      const std::string text =
+          "alpha event-" + std::to_string(w) + " shared-token\n";
+      ASSERT_TRUE((*set)->Append("a", text, w * 1000 + 100).ok());
+    }
+  }
+  std::mutex log_mu;
+  std::vector<std::string> log_lines;
+  DaemonOptions options = BaseOptions();
+  options.access_log.flush_interval_ms = 1;
+  options.access_log.sink = [&](std::string_view line) {
+    std::lock_guard<std::mutex> lock(log_mu);
+    log_lines.emplace_back(line);
+  };
+  LoggrepDaemon daemon(std::move(options));
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  DaemonClient client("127.0.0.1", *port);
+
+  Result<RemoteQueryResult> before = client.Query("fedset", "shared-token");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->http_status, 200) << before->body;
+  ASSERT_EQ(before->hits.size(), 3u);
+
+  // Viewing /statusz creates no compaction series.
+  Result<ParsedResponse> idle = client.Get("/statusz");
+  ASSERT_TRUE(idle.ok());
+  EXPECT_NE(idle->body.find("0 merges (0 shards merged), 0 failures"),
+            std::string::npos)
+      << idle->body;
+  Result<ParsedResponse> idle_metrics = client.Get("/metrics");
+  ASSERT_TRUE(idle_metrics.ok());
+  EXPECT_EQ(idle_metrics->body.find("set_compaction"), std::string::npos);
+
+  RawConnection raw(*port);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw.Send(
+      "POST /compact?archive=fedset HTTP/1.1\r\nHost: t\r\n"
+      "Content-Length: 0\r\n\r\n"));
+  std::vector<ParsedResponse> compacted;
+  ASSERT_TRUE(raw.ReadResponses(1, &compacted));
+  EXPECT_EQ(compacted[0].status, 200) << compacted[0].body;
+  Result<JsonValue> doc = ParseJson(compacted[0].body);
+  ASSERT_TRUE(doc.ok()) << compacted[0].body;
+  EXPECT_EQ(doc->Get("report").Get("merges_committed").AsUint(), 1u);
+  EXPECT_EQ(doc->Get("report").Get("shards_merged").AsUint(), 2u);
+
+  Result<ParsedResponse> statusz = client.Get("/statusz");
+  ASSERT_TRUE(statusz.ok());
+  EXPECT_EQ(statusz->status, 200);
+  EXPECT_NE(statusz->body.find("federation maintenance (1 set(s) open)"),
+            std::string::npos)
+      << statusz->body;
+  EXPECT_NE(statusz->body.find("1 merges (2 shards merged), 0 failures"),
+            std::string::npos)
+      << statusz->body;
+  EXPECT_EQ(statusz->body.find("janitor"), std::string::npos)
+      << statusz->body;
+
+  Result<ParsedResponse> metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find("\nloggrep_set_compaction_merges 1\n"),
+            std::string::npos)
+      << metrics->body;
+  EXPECT_NE(metrics->body.find("\nloggrep_sets_open 1"), std::string::npos);
+
+  Result<RemoteQueryResult> after = client.Query("fedset", "shared-token");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->http_status, 200) << after->body;
+  ExpectHitsEqual(before->hits, after->hits, "fedset [after compaction]");
+
+  daemon.Shutdown();  // flushes the access log
+  std::lock_guard<std::mutex> lock(log_mu);
+  size_t compact_lines = 0;
+  for (const std::string& line : log_lines) {
+    Result<JsonValue> entry = ParseJson(line);
+    ASSERT_TRUE(entry.ok()) << line;
+    EXPECT_TRUE(entry->Get("event").is_null()) << line;
+    EXPECT_FALSE(entry->Get("path").AsString().empty()) << line;
+    compact_lines += entry->Get("path").AsString() == "/compact" ? 1 : 0;
+  }
+  EXPECT_EQ(compact_lines, 1u);
 }
 
 // The layout every /query and /explain body shares, whatever the handle

@@ -222,51 +222,6 @@ TEST_F(QuerySessionTest, ResetAlsoFlushesEngineCommandCache) {
   EXPECT_FALSE(after->from_cache);
 }
 
-// The serving layer calls Rebind when the archive set rolls the shard a
-// session was following: same engine, NEW box. Neither the refinement state
-// nor the memo may ever serve hits computed against the old box.
-TEST_F(QuerySessionTest, RebindNeverServesOldBoxHits) {
-  // A second block whose ERROR population differs from the first.
-  const std::string other_text =
-      LogGenerator(*FindDataset("Log A")).Generate(16 * 1024);
-  const std::string other_box = engine_.CompressBlock(other_text);
-
-  QuerySession session(&engine_, box_);
-  auto before = session.Query("ERROR");
-  ASSERT_TRUE(before.ok());
-
-  session.Rebind(other_box);
-  EXPECT_EQ(session.box(), std::string_view(other_box));
-
-  // Revisiting the same command must re-execute against the new box, not
-  // replay the memoized old-box hits.
-  auto after = session.Query("ERROR");
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->from_cache);
-  LogGrepEngine fresh;
-  auto truth = fresh.Query(fresh.CompressBlock(other_text), "ERROR");
-  ASSERT_TRUE(truth.ok());
-  ASSERT_EQ(after->hits.size(), truth->hits.size());
-  for (size_t i = 0; i < truth->hits.size(); ++i) {
-    EXPECT_EQ(after->hits[i].first, truth->hits[i].first);
-    EXPECT_EQ(after->hits[i].second, truth->hits[i].second);
-  }
-}
-
-TEST_F(QuerySessionTest, RebindForgetsRefinementState) {
-  const std::string other_box = engine_.CompressBlock(
-      LogGenerator(*FindDataset("Log A")).Generate(16 * 1024));
-  QuerySession session(&engine_, box_);
-  ASSERT_TRUE(session.Query("ERROR").ok());
-  session.Rebind(other_box);
-  // "ERROR and aborted" would be a sound refinement of the pre-rebind
-  // "ERROR" — but those hits belong to the old box, so the session must
-  // fall back to a full query.
-  auto narrowed = session.Query("ERROR and aborted");
-  ASSERT_TRUE(narrowed.ok());
-  EXPECT_FALSE(narrowed->refined_incrementally);
-}
-
 // ---- property test: refinement == cold full query ---------------------------
 //
 // For every production dataset, grow a command by appending AND clauses —
