@@ -55,32 +55,10 @@ namespace {
 
 using namespace loggrep;
 
-// Per-stage wall time accumulated across a pass (nanoseconds).
-struct StageNanos {
-  uint64_t prune = 0;
-  uint64_t open = 0;
-  uint64_t stamp_filter = 0;
-  uint64_t decompress = 0;
-  uint64_t scan = 0;
-  uint64_t reconstruct = 0;
-
-  void Accumulate(const LocatorStats& s) {
-    prune += s.prune_nanos;
-    open += s.open_nanos;
-    stamp_filter += s.stamp_filter_nanos;
-    decompress += s.decompress_nanos;
-    scan += s.scan_nanos;
-    reconstruct += s.reconstruct_nanos;
-  }
-};
-
+// One pass of a suite: its wall time and the summed query ledger.
 struct PassStats {
   double seconds = 0;
-  uint64_t bytes_decompressed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t bytes_saved = 0;
-  StageNanos stages;
+  LocatorStats ledger;
 };
 
 PassStats RunSuite(LogGrepEngine& engine, const std::string& box,
@@ -94,11 +72,7 @@ PassStats RunSuite(LogGrepEngine& engine, const std::string& box,
                      result.status().ToString().c_str());
         std::exit(1);
       }
-      stats.bytes_decompressed += result->locator.bytes_decompressed;
-      stats.cache_hits += result->locator.cache_hits;
-      stats.cache_misses += result->locator.cache_misses;
-      stats.bytes_saved += result->locator.bytes_saved;
-      stats.stages.Accumulate(result->locator);
+      stats.ledger.Accumulate(result->locator);
     }
   });
   return stats;
@@ -136,9 +110,8 @@ struct BlockCorpus {
 struct BlockRoundResult {
   double cold_ms = 0;
   double warm_ms = 0;
-  uint64_t cold_bytes = 0;
+  LocatorStats cold;  // the cold passes' summed ledger
   uint64_t warm_bytes = 0;
-  StageNanos cold_stages;
   int failures = 0;
 };
 
@@ -162,27 +135,21 @@ BlockRoundResult RunBlockRound(const std::vector<BlockCorpus>& corpora,
       std::printf("%-10s %10.2f %10.2f %10.2f %12.3f %12.3f %8llu %10.3f\n",
                   corpus.name.c_str(), cold.seconds * 1000,
                   pass1.seconds * 1000, warm.seconds * 1000,
-                  cold.bytes_decompressed / 1e6, warm.bytes_decompressed / 1e6,
-                  static_cast<unsigned long long>(warm.cache_hits),
-                  warm.bytes_saved / 1e6);
+                  cold.ledger.bytes_decompressed / 1e6,
+                  warm.ledger.bytes_decompressed / 1e6,
+                  static_cast<unsigned long long>(warm.ledger.cache_hits),
+                  warm.ledger.bytes_saved / 1e6);
     }
 
     round.cold_ms += cold.seconds * 1000;
     round.warm_ms += warm.seconds * 1000;
-    round.cold_bytes += cold.bytes_decompressed;
-    round.warm_bytes += warm.bytes_decompressed;
-    round.cold_stages.Accumulate(LocatorStats{});  // keep zero-safe
-    round.cold_stages.prune += cold.stages.prune;
-    round.cold_stages.open += cold.stages.open;
-    round.cold_stages.stamp_filter += cold.stages.stamp_filter;
-    round.cold_stages.decompress += cold.stages.decompress;
-    round.cold_stages.scan += cold.stages.scan;
-    round.cold_stages.reconstruct += cold.stages.reconstruct;
+    round.cold.Accumulate(cold.ledger);
+    round.warm_bytes += warm.ledger.bytes_decompressed;
     // Acceptance: warm pass decompresses strictly fewer fresh bytes than the
     // cold pass and actually hits the cache.
-    if (cold.bytes_decompressed > 0 &&
-        (warm.bytes_decompressed >= cold.bytes_decompressed ||
-         warm.cache_hits == 0)) {
+    if (cold.ledger.bytes_decompressed > 0 &&
+        (warm.ledger.bytes_decompressed >= cold.ledger.bytes_decompressed ||
+         warm.ledger.cache_hits == 0)) {
       std::fprintf(stderr, "FAIL %s: warm pass not cheaper than cold\n",
                    corpus.name.c_str());
       ++round.failures;
@@ -261,8 +228,16 @@ bool SanitizerBuild() {
 }
 
 void WriteBenchJson(const char* path, int rounds, double cold_p50,
-                    double warm_p50, const StageNanos& stages,
+                    double warm_p50, const LocatorStats& cold,
                     const KernelResult& kernel) {
+  std::string stages;
+  for (const LedgerRow& row : kQueryLedger) {
+    if (row.stage) {
+      stages.append(stages.empty() ? "\n" : ",\n");
+      stages.append("    \"").append(row.name).append("\": ");
+      stages.append(std::to_string(cold.*row.field));
+    }
+  }
   std::ofstream out(path);
   char buf[2048];
   std::snprintf(
@@ -276,13 +251,7 @@ void WriteBenchJson(const char* path, int rounds, double cold_p50,
       "  \"cold_ms_p50\": %.3f,\n"
       "  \"warm_ms_p50\": %.3f,\n"
       "  \"pr2_baseline_cold_ms\": 233.0,\n"
-      "  \"cold_stage_nanos\": {\n"
-      "    \"prune\": %llu,\n"
-      "    \"open\": %llu,\n"
-      "    \"stamp_filter\": %llu,\n"
-      "    \"decompress\": %llu,\n"
-      "    \"scan\": %llu,\n"
-      "    \"reconstruct\": %llu\n"
+      "  \"cold_stage_nanos\": {%s\n"
       "  },\n"
       "  \"kernel\": {\n"
       "    \"scalar_ms\": %.3f,\n"
@@ -293,13 +262,8 @@ void WriteBenchJson(const char* path, int rounds, double cold_p50,
       "}\n",
       SimdTierName(ActiveSimdTier()), ForcedScalar() ? "true" : "false",
       SanitizerBuild() ? "true" : "false", rounds, cold_p50, warm_p50,
-      static_cast<unsigned long long>(stages.prune),
-      static_cast<unsigned long long>(stages.open),
-      static_cast<unsigned long long>(stages.stamp_filter),
-      static_cast<unsigned long long>(stages.decompress),
-      static_cast<unsigned long long>(stages.scan),
-      static_cast<unsigned long long>(stages.reconstruct), kernel.scalar_ms,
-      kernel.active_ms, kernel.speedup, kernel.hits);
+      stages.c_str(), kernel.scalar_ms, kernel.active_ms, kernel.speedup,
+      kernel.hits);
   out << buf;
 }
 
@@ -334,21 +298,16 @@ int main() {
   int failures = 0;
   std::vector<double> cold_ms_rounds;
   std::vector<double> warm_ms_rounds;
-  StageNanos cold_stages;
+  LocatorStats cold_ledger;
   uint64_t cold_bytes_total = 0;
   uint64_t warm_bytes_total = 0;
   for (int round = 0; round < rounds; ++round) {
     const BlockRoundResult r = RunBlockRound(corpora, /*print=*/round == 0);
     cold_ms_rounds.push_back(r.cold_ms);
     warm_ms_rounds.push_back(r.warm_ms);
-    cold_bytes_total = r.cold_bytes;
+    cold_bytes_total = r.cold.bytes_decompressed;
     warm_bytes_total = r.warm_bytes;
-    cold_stages.prune += r.cold_stages.prune;
-    cold_stages.open += r.cold_stages.open;
-    cold_stages.stamp_filter += r.cold_stages.stamp_filter;
-    cold_stages.decompress += r.cold_stages.decompress;
-    cold_stages.scan += r.cold_stages.scan;
-    cold_stages.reconstruct += r.cold_stages.reconstruct;
+    cold_ledger.Accumulate(r.cold);
     failures += r.failures;
   }
   const double cold_p50 = Median(cold_ms_rounds);
@@ -357,12 +316,15 @@ int main() {
               "warm %.1f ms / %.2f MB decompressed\n",
               rounds, cold_p50, cold_bytes_total / 1e6, warm_p50,
               warm_bytes_total / 1e6);
-  std::printf("cold stage nanos (all rounds): stamp=%llu decompress=%llu "
-              "scan=%llu reconstruct=%llu\n\n",
-              static_cast<unsigned long long>(cold_stages.stamp_filter),
-              static_cast<unsigned long long>(cold_stages.decompress),
-              static_cast<unsigned long long>(cold_stages.scan),
-              static_cast<unsigned long long>(cold_stages.reconstruct));
+  std::printf("cold stage nanos (all rounds):");
+  for (const LedgerRow& row : kQueryLedger) {
+    if (row.stage) {
+      std::printf(" %.*s=%llu", static_cast<int>(row.name.size()),
+                  row.name.data(),
+                  static_cast<unsigned long long>(cold_ledger.*row.field));
+    }
+  }
+  std::printf("\n\n");
 
   std::printf("== refining sessions: incremental+memo vs cold re-runs ==\n");
   std::printf("%-10s %12s %12s %10s\n", "dataset", "cold ms", "session ms",
@@ -481,7 +443,7 @@ int main() {
               kernel.active_ms, kernel.speedup, kernel.hits);
 
   const std::string bench_json = bench::BenchOutputPath("BENCH_query.json");
-  WriteBenchJson(bench_json.c_str(), rounds, cold_p50, warm_p50, cold_stages,
+  WriteBenchJson(bench_json.c_str(), rounds, cold_p50, warm_p50, cold_ledger,
                  kernel);
   std::printf("wrote %s\n", bench_json.c_str());
 

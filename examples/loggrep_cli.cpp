@@ -104,6 +104,11 @@ bool g_no_degrade = false;
 // "partial").
 constexpr int kExitPartial = 3;
 
+// Event-time window of every set the CLI creates: `set-ingest`'s [ts_ns]
+// starts a new shard per tenant and hour. A set that already exists keeps
+// the span stored in its manifest.
+constexpr uint64_t kCliSetWindowSpanNs = 3600ull * 1'000'000'000ull;
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 1;
@@ -124,6 +129,7 @@ ArchiveOptions CliArchiveOptions() {
 ArchiveSetOptions CliSetOptions() {
   ArchiveSetOptions opts;
   opts.archive = CliArchiveOptions();
+  opts.window_span_ns = kCliSetWindowSpanNs;
   return opts;
 }
 
@@ -347,20 +353,22 @@ void PrintSummary(const QueryOutcome& outcome) {
                  r.shards_pruned, r.shards_visited, r.shards_failed,
                  r.shards_total);
   }
-  std::fprintf(stderr,
-               "stages (ms): prune %.2f  open %.2f  scan %.2f  stamp %.2f  "
-               "decompress %.2f  reconstruct %.2f\n",
-               s.prune_nanos / 1e6, s.open_nanos / 1e6, s.scan_nanos / 1e6,
-               s.stamp_filter_nanos / 1e6, s.decompress_nanos / 1e6,
-               s.reconstruct_nanos / 1e6);
-  std::fprintf(stderr,
-               "capsules: %llu decompressed, %llu filtered by stamps; "
-               "cache: %llu hits, %llu misses, %.1f MB saved\n",
-               static_cast<unsigned long long>(s.capsules_decompressed),
-               static_cast<unsigned long long>(s.capsules_stamp_filtered),
-               static_cast<unsigned long long>(s.cache_hits),
-               static_cast<unsigned long long>(s.cache_misses),
-               s.bytes_saved / 1e6);
+  // The ledger: one line for its stages, one for its counters.
+  std::string stages = "stages (ms):";
+  std::string counters = "counters:";
+  for (const LedgerRow& row : kQueryLedger) {
+    const uint64_t value = s.*row.field;
+    std::string& line = row.stage ? stages : counters;
+    char buf[32];
+    if (row.stage) {
+      std::snprintf(buf, sizeof(buf), " %.2f", value / 1e6);
+    } else {
+      std::snprintf(buf, sizeof(buf), " %llu",
+                    static_cast<unsigned long long>(value));
+    }
+    line.append(line.back() == ':' ? " " : "  ").append(row.name).append(buf);
+  }
+  std::fprintf(stderr, "%s\n%s\n", stages.c_str(), counters.c_str());
   if (!r.complete()) {
     std::fputs(r.RenderPartial().c_str(), stderr);
   }

@@ -48,14 +48,6 @@ class ValueArena {
     }
   }
 
-  size_t BytesUsed() const {
-    size_t n = 0;
-    for (const std::string& c : chunks_) {
-      n += c.size();
-    }
-    return n;
-  }
-
  private:
   static constexpr size_t kMinChunk = 64 * 1024;
   std::vector<std::string> chunks_;

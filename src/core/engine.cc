@@ -277,20 +277,21 @@ Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
 
   if (options_.metrics != nullptr) {
     options_.metrics->GetOrCreate("query.count")->Increment();
-    options_.metrics->GetOrCreate("query.bytes_decompressed")
-        ->Add(result.locator.bytes_decompressed);
-    // Per-query stage latencies feed histograms (p50/p95/p99 snapshots);
-    // histogram sums replace the old per-stage cumulative counters.
-    options_.metrics->GetOrCreateHistogram("query.open_ns")
-        ->Record(result.locator.open_nanos);
-    options_.metrics->GetOrCreateHistogram("query.scan_ns")
-        ->Record(result.locator.scan_nanos);
-    options_.metrics->GetOrCreateHistogram("query.decompress_ns")
-        ->Record(result.locator.decompress_nanos);
-    options_.metrics->GetOrCreateHistogram("query.stamp_filter_ns")
-        ->Record(result.locator.stamp_filter_nanos);
-    options_.metrics->GetOrCreateHistogram("query.reconstruct_ns")
-        ->Record(result.locator.reconstruct_nanos);
+    // The ledger rows the engine measures: stage latencies feed histograms
+    // (p50/p95/p99 snapshots), counters accumulate.
+    for (const LedgerRow& row : kQueryLedger) {
+      if (!row.engine_metric) {
+        continue;
+      }
+      std::string series = "query.";
+      AppendLedgerKey(&series, row);
+      const uint64_t value = result.locator.*row.field;
+      if (row.stage) {
+        options_.metrics->GetOrCreateHistogram(series)->Record(value);
+      } else {
+        options_.metrics->GetOrCreate(series)->Add(value);
+      }
+    }
   }
 
   if (options_.use_cache && explain == nullptr) {

@@ -50,7 +50,6 @@ enum class CapsuleFate : uint8_t {
 
 const char* CapsuleFateName(CapsuleFate fate);
 bool FateIsOpen(CapsuleFate fate);    // cache-hit / decompressed
-inline bool FateIsPruned(CapsuleFate fate) { return !FateIsOpen(fate); }
 
 // One visited Capsule's terminal fate, tagged with the context (group /
 // variable slot / keyword) in which it was first decided.

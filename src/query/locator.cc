@@ -38,14 +38,6 @@ bool StampAdmitsKeyword(const CapsuleStamp& stamp, std::string_view keyword) {
   return stamp.AdmitsProbe(ProbeForKeyword(keyword));
 }
 
-void BatchStampCheck(const std::vector<CapsuleStamp>& stamps,
-                     const StampProbe& probe, std::vector<bool>& admits) {
-  admits.resize(stamps.size());
-  for (size_t i = 0; i < stamps.size(); ++i) {
-    admits[i] = stamps[i].AdmitsProbe(probe);
-  }
-}
-
 const StampProbe& BoxQuerier::ProbeFor(std::string_view keyword,
                                        bool wildcard_aware) {
   auto& cache =
@@ -404,7 +396,6 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
 
   const std::vector<PossibleMatch> matches =
       MatchKeywordOnPattern(rv.pattern, keyword);
-  stats_.possible_matches += matches.size();
   if (explain_ != nullptr && matches.empty()) {
     // Runtime-pattern miss: no expansion of the pattern can contain the
     // keyword, so none of the sub-variable Capsules need to be opened.
@@ -414,7 +405,6 @@ RowSet BoxQuerier::MatchInReal(const GroupMeta& group, uint32_t group_idx,
   }
   for (const PossibleMatch& match : matches) {
     if (match.trivial()) {
-      ++stats_.pattern_trivial_hits;
       if (explain_ != nullptr) {
         // Trivial possible match: every present row matches via the
         // pattern's constant fragments alone — Capsules stay closed.

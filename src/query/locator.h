@@ -34,13 +34,13 @@ struct LocatorOptions {
 // Per-query cost accounting: decompression work, filter effectiveness,
 // shared-cache economics, and per-stage wall time. Stage timings are
 // nanoseconds (stamp checks are far sub-microsecond). The prune/open stages
-// are filled by the layers above the querier (archive / engine).
+// are filled by the layers above the querier (archive / engine). Every
+// field is one row of kQueryLedger below, which names it for every
+// rendering.
 struct LocatorStats {
   uint64_t capsules_decompressed = 0;
   uint64_t capsules_stamp_filtered = 0;
   uint64_t bytes_decompressed = 0;
-  uint64_t pattern_trivial_hits = 0;
-  uint64_t possible_matches = 0;
 
   // Shared BoxCache economics (a zero-budget cache only ever misses).
   uint64_t cache_hits = 0;
@@ -55,33 +55,58 @@ struct LocatorStats {
   uint64_t scan_nanos = 0;         // engine: boolean evaluation / matching
   uint64_t reconstruct_nanos = 0;  // engine: rendering matched rows
 
-  // Field-wise sum (used when aggregating per-block stats).
-  void Accumulate(const LocatorStats& other) {
-    capsules_decompressed += other.capsules_decompressed;
-    capsules_stamp_filtered += other.capsules_stamp_filtered;
-    bytes_decompressed += other.bytes_decompressed;
-    pattern_trivial_hits += other.pattern_trivial_hits;
-    possible_matches += other.possible_matches;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    bytes_saved += other.bytes_saved;
-    prune_nanos += other.prune_nanos;
-    open_nanos += other.open_nanos;
-    stamp_filter_nanos += other.stamp_filter_nanos;
-    decompress_nanos += other.decompress_nanos;
-    scan_nanos += other.scan_nanos;
-    reconstruct_nanos += other.reconstruct_nanos;
-  }
+  // Row-wise sum (used when aggregating per-block stats).
+  void Accumulate(const LocatorStats& other);
 };
+
+// One row of the query ledger: a LocatorStats field under its one name.
+// A stage row holds wall nanoseconds and its key is "<name>_ns"; a counter
+// row's key is its name. The key names the field in the /query body's
+// "stats" object (and so in the access log); rows marked `engine_metric`
+// are also published by the engine per query as "query.<key>" (stages as
+// histograms, counters as cumulative counters).
+struct LedgerRow {
+  std::string_view name;
+  uint64_t LocatorStats::*field;
+  bool stage;
+  bool engine_metric;
+};
+
+// The ledger, in the order of the /query body's "stats" keys.
+inline constexpr LedgerRow kQueryLedger[] = {
+    {"bytes_decompressed", &LocatorStats::bytes_decompressed, false, true},
+    {"bytes_saved", &LocatorStats::bytes_saved, false, false},
+    {"cache_hits", &LocatorStats::cache_hits, false, false},
+    {"cache_misses", &LocatorStats::cache_misses, false, false},
+    {"capsules_decompressed", &LocatorStats::capsules_decompressed, false,
+     false},
+    {"capsules_stamp_filtered", &LocatorStats::capsules_stamp_filtered, false,
+     false},
+    {"decompress", &LocatorStats::decompress_nanos, true, true},
+    {"open", &LocatorStats::open_nanos, true, true},
+    {"prune", &LocatorStats::prune_nanos, true, false},
+    {"reconstruct", &LocatorStats::reconstruct_nanos, true, true},
+    {"scan", &LocatorStats::scan_nanos, true, true},
+    {"stamp_filter", &LocatorStats::stamp_filter_nanos, true, true},
+};
+
+inline void LocatorStats::Accumulate(const LocatorStats& other) {
+  for (const LedgerRow& row : kQueryLedger) {
+    this->*row.field += other.*row.field;
+  }
+}
+
+// Appends the row's key ("scan_ns", "cache_hits") to `out`.
+inline void AppendLedgerKey(std::string* out, const LedgerRow& row) {
+  out->append(row.name);
+  if (row.stage) {
+    out->append("_ns");
+  }
+}
 
 // Stamp check extended to wildcard keywords: literal characters only, with
 // the minimum possible expansion length.
 bool StampAdmitsKeyword(const CapsuleStamp& stamp, std::string_view keyword);
-
-// Batched stamp evaluation: admits[i] = stamps[i] admits `probe`. One probe
-// classification serves every Capsule; each stamp costs two integer compares.
-void BatchStampCheck(const std::vector<CapsuleStamp>& stamps,
-                     const StampProbe& probe, std::vector<bool>& admits);
 
 class BoxQuerier {
  public:

@@ -9,43 +9,6 @@ namespace loggrep {
 
 namespace {
 
-void AppendStatsJson(std::string* out, const ArchiveQueryResult& result) {
-  const LocatorStats& s = result.locator;
-  out->append("{\"blocks_pruned\":");
-  AppendUint(out, result.blocks_pruned);
-  out->append(",\"blocks_queried\":");
-  AppendUint(out, result.blocks_queried);
-  // Cached blocks add no stage time or decode counts (a replay decodes
-  // nothing); this count says how many blocks were replayed.
-  out->append(",\"blocks_from_cache\":");
-  AppendUint(out, result.blocks_from_cache);
-  out->append(",\"bytes_decompressed\":");
-  AppendUint(out, s.bytes_decompressed);
-  out->append(",\"bytes_saved\":");
-  AppendUint(out, s.bytes_saved);
-  out->append(",\"cache_hits\":");
-  AppendUint(out, s.cache_hits);
-  out->append(",\"cache_misses\":");
-  AppendUint(out, s.cache_misses);
-  out->append(",\"capsules_decompressed\":");
-  AppendUint(out, s.capsules_decompressed);
-  out->append(",\"capsules_stamp_filtered\":");
-  AppendUint(out, s.capsules_stamp_filtered);
-  out->append(",\"decompress_ns\":");
-  AppendUint(out, s.decompress_nanos);
-  out->append(",\"open_ns\":");
-  AppendUint(out, s.open_nanos);
-  out->append(",\"prune_ns\":");
-  AppendUint(out, s.prune_nanos);
-  out->append(",\"reconstruct_ns\":");
-  AppendUint(out, s.reconstruct_nanos);
-  out->append(",\"scan_ns\":");
-  AppendUint(out, s.scan_nanos);
-  out->append(",\"stamp_filter_ns\":");
-  AppendUint(out, s.stamp_filter_nanos);
-  out->append("}");
-}
-
 void AppendPartialJson(std::string* out, const PartialReport& partial) {
   out->append("{\"lines_missing\":");
   AppendUint(out, partial.lines_missing());
@@ -81,7 +44,8 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
 //    "explain":{"invariant_ok":bool,"totals":{...},"render":"..."}}
 // The hit list is followed directly by "stats", which clients locate by
 // that adjacency.
-std::string RenderQueryJson(const SetQueryResult& result, bool is_set,
+std::string RenderQueryJson(const SetQueryResult& result,
+                            std::string_view stats, bool is_set,
                             const ExplainSection* explain) {
   std::string out;
   out.reserve(4096 + result.hits.size() * 48);
@@ -101,7 +65,7 @@ std::string RenderQueryJson(const SetQueryResult& result, bool is_set,
     out.push_back(']');
   }
   out.append("],\"stats\":");
-  AppendStatsJson(&out, result);
+  out.append(stats);
   if (is_set) {
     out.append(",\"shards\":{\"total\":");
     AppendUint(&out, result.shards_total);
@@ -218,6 +182,27 @@ Status QuerySet(ArchiveSet* set, const ServiceRequest& request,
 }
 
 }  // namespace
+
+std::string QueryStatsJson(const ArchiveQueryResult& result) {
+  std::string out;
+  out.reserve(384);
+  out.append("{\"blocks_pruned\":");
+  AppendUint(&out, result.blocks_pruned);
+  out.append(",\"blocks_queried\":");
+  AppendUint(&out, result.blocks_queried);
+  // Cached blocks add no stage time or decode counts (a replay decodes
+  // nothing); this count says how many blocks were replayed.
+  out.append(",\"blocks_from_cache\":");
+  AppendUint(&out, result.blocks_from_cache);
+  for (const LedgerRow& row : kQueryLedger) {
+    out.append(",\"");
+    AppendLedgerKey(&out, row);
+    out.append("\":");
+    AppendUint(&out, result.locator.*row.field);
+  }
+  out.push_back('}');
+  return out;
+}
 
 std::string ResolveArchivePath(const std::string& root, std::string_view name) {
   if (name.empty() || name == ".") {
@@ -348,13 +333,11 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   ServiceResponse response;
   response.http_status = HttpStatusForQuery(result);
   response.degraded = response.http_status == 206;
+  response.hits = result.hits.size();
+  response.stats = QueryStatsJson(result);
   response.body = RenderQueryJson(
-      result, outcome->is_set,
+      result, response.stats, outcome->is_set,
       outcome->explain ? &*outcome->explain : nullptr);
-  response.stats.hits = result.hits.size();
-  response.stats.blocks_queried = result.blocks_queried;
-  response.stats.blocks_from_cache = result.blocks_from_cache;
-  response.stats.locator = result.locator;
   if (outcome->explain) {
     response.explain_render = std::move(outcome->explain->render);
   }

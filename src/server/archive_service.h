@@ -86,21 +86,14 @@ struct ServiceRequest {
   uint64_t to_ns = UINT64_MAX;  // inclusive event-time upper bound
 };
 
-// Stats mirror for the access log: the JSON body already carries all of
-// this, but the daemon's per-request telemetry must not pay a JSON re-parse
-// per request to log it.
-struct ServiceQueryStats {
-  uint64_t hits = 0;
-  uint64_t blocks_queried = 0;
-  uint64_t blocks_from_cache = 0;
-  LocatorStats locator;
-};
-
 struct ServiceResponse {
   int http_status = 200;
   std::string body;  // JSON document (see RenderQueryJson)
   bool degraded = false;  // true on 206 (PartialReport in the body)
-  ServiceQueryStats stats;  // zeros on error responses
+  // The hit count and the body's "stats" object (QueryStatsJson), which
+  // the access log carries as is; 0 and empty on error responses.
+  uint64_t hits = 0;
+  std::string stats;
   // Rendered explain fate tree; filled only when the request asked for
   // explain (the slow-query log re-runs with explain=true to capture it).
   std::string explain_render;
@@ -132,6 +125,11 @@ struct QueryOutcome {
   bool is_set = false;
   std::optional<ExplainSection> explain;
 };
+
+// The "stats" object of a /query or /explain body: the block counts, then
+// every kQueryLedger row of result.locator under its key, in table order.
+// One flat object; clients find it directly after the hit list.
+std::string QueryStatsJson(const ArchiveQueryResult& result);
 
 // Resolves `name` under `root`, rejecting absolute paths and any ".."
 // component. Returns the joined path; empty string on rejection.

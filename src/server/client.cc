@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "src/common/json.h"
+#include "src/query/locator.h"
 
 namespace loggrep {
 
@@ -133,8 +134,14 @@ Status ParseRemoteQueryBody(std::string_view body, RemoteQueryResult* out) {
     out->hits.emplace_back(pair[0].AsUint(), pair[1].AsString());
   }
   const JsonValue& stats = doc->Get("stats");
-  out->cache_hits = stats.Get("cache_hits").AsUint();
-  out->bytes_decompressed = stats.Get("bytes_decompressed").AsUint();
+  LocatorStats ledger;
+  for (const LedgerRow& row : kQueryLedger) {
+    std::string key;
+    AppendLedgerKey(&key, row);
+    ledger.*row.field = stats.Get(key).AsUint();
+  }
+  out->cache_hits = ledger.cache_hits;
+  out->bytes_decompressed = ledger.bytes_decompressed;
   out->blocks_from_cache = stats.Get("blocks_from_cache").AsUint();
   out->blocks_queried = stats.Get("blocks_queried").AsUint();
   out->lines_missing = doc->Get("partial").Get("lines_missing").AsUint();

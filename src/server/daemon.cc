@@ -473,7 +473,8 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
     metrics_->GetOrCreate("server.degraded_responses")->Increment();
   }
   rec->degraded = service_response.degraded;
-  rec->stats = service_response.stats;
+  rec->hits = service_response.hits;
+  rec->stats = std::move(service_response.stats);
   rec->explain_render = std::move(service_response.explain_render);
   HttpResponse response;
   response.status = service_response.http_status;
@@ -491,7 +492,7 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
   const uint64_t ts_ms =
       (end_ns > start_ns_ ? end_ns - start_ns_ : 0) / 1'000'000ull;
   std::string line;
-  line.reserve(512);
+  line.reserve(768);
   line.append("{\"ts_ms\":");
   AppendUint(&line, ts_ms);
   line.append(",\"rid\":");
@@ -514,30 +515,13 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
   line.append(",\"dur_ns\":");
   AppendUint(&line, dur_ns);
   line.append(",\"hits\":");
-  AppendUint(&line, rec->stats.hits);
-  line.append(",\"blocks_queried\":");
-  AppendUint(&line, rec->stats.blocks_queried);
-  line.append(",\"blocks_from_cache\":");
-  AppendUint(&line, rec->stats.blocks_from_cache);
-  line.append(",\"cache_hits\":");
-  AppendUint(&line, rec->stats.locator.cache_hits);
-  line.append(",\"cache_misses\":");
-  AppendUint(&line, rec->stats.locator.cache_misses);
-  line.append(",\"bytes_decompressed\":");
-  AppendUint(&line, rec->stats.locator.bytes_decompressed);
-  line.append(",\"stage_ns\":{\"prune\":");
-  AppendUint(&line, rec->stats.locator.prune_nanos);
-  line.append(",\"open\":");
-  AppendUint(&line, rec->stats.locator.open_nanos);
-  line.append(",\"stamp\":");
-  AppendUint(&line, rec->stats.locator.stamp_filter_nanos);
-  line.append(",\"decompress\":");
-  AppendUint(&line, rec->stats.locator.decompress_nanos);
-  line.append(",\"scan\":");
-  AppendUint(&line, rec->stats.locator.scan_nanos);
-  line.append(",\"reconstruct\":");
-  AppendUint(&line, rec->stats.locator.reconstruct_nanos);
-  line.append("},\"degraded\":");
+  AppendUint(&line, rec->hits);
+  // The query body's own "stats" object, byte for byte; requests that ran
+  // no query (errors, sheds, other endpoints) log the all-zero one.
+  static const std::string kNoStats = QueryStatsJson(ArchiveQueryResult{});
+  line.append(",\"stats\":");
+  line.append(rec->stats.empty() ? kNoStats : rec->stats);
+  line.append(",\"degraded\":");
   line.append(rec->degraded ? "true" : "false");
   line.append(",\"shed\":");
   line.append(rec->shed ? "true" : "false");

@@ -158,7 +158,10 @@ class LoggrepDaemon {
     ServiceRequest request;
     bool shed = false;      // bounced by admission control (429)
     bool degraded = false;  // 206 partial
-    ServiceQueryStats stats;
+    // The query's hit count and its body's "stats" object (empty when the
+    // request ran no query; the access log then writes an all-zero one).
+    uint64_t hits = 0;
+    std::string stats;
     std::string explain_render;  // filled when the request was /explain
   };
 

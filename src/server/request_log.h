@@ -15,11 +15,11 @@
 // One line per request, one JSON object per line (jq-able), e.g.:
 //   {"ts_ms":123,"rid":"5f3a...","rid64":123456,"method":"POST",
 //    "path":"/query","archive":"arch","status":200,"bytes":512,
-//    "dur_ns":18343210,"blocks_queried":4,"blocks_from_cache":4,
-//    "cache_hits":12,"cache_misses":0,"bytes_decompressed":0,
-//    "stage_ns":{"prune":..,"open":..,"stamp":..,"decompress":..,
-//                "scan":..,"reconstruct":..},
+//    "dur_ns":18343210,"hits":3,"stats":{"blocks_pruned":0,
+//    "blocks_queried":4,...,"stamp_filter_ns":..},
 //    "degraded":false,"shed":false}
+// "stats" is the /query body's own stats object (QueryStatsJson), all
+// zero on lines that ran no query.
 // `rid64` is the FNV-1a hash of the request id — the exact value attached
 // to the request's trace spans, so log lines join against spans (and the
 // slow-query log) on one integer.

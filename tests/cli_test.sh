@@ -6,9 +6,10 @@
 #   sh tests/cli_test.sh <path-to-loggrep_cli>
 #
 # The fixtures are 60 generated log lines: all.log compressed into one box,
-# the two halves ingested as two blocks of one archive, and the halves
-# appended to a set as tenants alpha and beta. Expected hit lines come from
-# `grep -n` over the raw text.
+# the two halves ingested as two blocks of one archive, the halves
+# appended to a set as tenants alpha and beta, and a second set fed one
+# half at three hourly timestamps. Expected hit lines come from `grep -n`
+# over the raw text.
 set -u
 CLI=$1
 WORK=$(mktemp -d)
@@ -104,6 +105,22 @@ expect_rc 3 grep bad ERROR
 cmp -s out.txt want_alpha.txt || fail "degraded grep lost block 0's hits"
 expect_rc 1 --no-degrade grep bad ERROR
 expect_rc 3 explain bad ERROR
+
+# A set the CLI creates has a one-hour window: appends an hour apart start
+# new shards, and set-compact merges the sealed ones without moving a hit.
+HOUR=3600000000000
+expect_rc 0 set-ingest win alpha a.log 0
+expect_rc 0 set-ingest win alpha a.log $HOUR
+expect_rc 0 set-ingest win alpha a.log $((2 * HOUR))
+grep -q 'set now 3 live shards' out.txt ||
+  fail "hourly set-ingests did not make three shards: $(cat out.txt)"
+expect_rc 0 grep win ERROR alpha
+cp out.txt win_before.txt
+[ -s win_before.txt ] || fail "grep win ERROR alpha found nothing"
+expect_rc 0 set-compact win
+grep -q 'compacted 2 shard(s) into 1 (planned 1 run(s)' out.txt ||
+  fail "set-compact did not merge the sealed run: $(cat out.txt)"
+expect_stdout win_before.txt grep win ERROR alpha
 
 expect_rc 1 grep set ERROR - 5000 10  # inverted time range on a set
 # A malformed bound or timestamp is a usage error, never a guessed number

@@ -25,6 +25,7 @@
 
 #include "gtest/gtest.h"
 #include "src/common/json.h"
+#include "src/query/locator.h"
 #include "src/server/archive_service.h"
 #include "src/server/client.h"
 #include "src/server/daemon.h"
@@ -848,6 +849,46 @@ TEST_F(ServerTest, ArchivesAndSetsShareOneResponseLayout) {
         run(&service, "fedset", "shared-token", explain);
     EXPECT_EQ(set.http_status, 206) << set.body;
     ExpectResponseLayout(set, /*is_set=*/true);
+  }
+}
+
+// The query ledger is one table: the body's stats object renders every row
+// exactly once, under its key and with its own value, in table order after
+// the three block counts; Accumulate sums every row.
+TEST(QueryLedgerTest, StatsObjectRendersEveryRowOnceInTableOrder) {
+  ArchiveQueryResult result;
+  result.blocks_pruned = 1;
+  result.blocks_queried = 2;
+  result.blocks_from_cache = 3;
+  uint64_t value = 100;
+  for (const LedgerRow& row : kQueryLedger) {
+    result.locator.*row.field = value++;
+  }
+  const std::string json = QueryStatsJson(result);
+  Result<JsonValue> doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  EXPECT_EQ(doc->AsObject().size(), 3 + std::size(kQueryLedger)) << json;
+  EXPECT_EQ(doc->Get("blocks_pruned").AsUint(), 1u);
+  EXPECT_EQ(doc->Get("blocks_queried").AsUint(), 2u);
+  EXPECT_EQ(doc->Get("blocks_from_cache").AsUint(), 3u);
+  size_t last_at = json.find("\"blocks_from_cache\":");
+  value = 100;
+  for (const LedgerRow& row : kQueryLedger) {
+    std::string key;
+    AppendLedgerKey(&key, row);
+    const std::string quoted = "\"" + key + "\":";
+    const size_t at = json.find(quoted);
+    ASSERT_NE(at, std::string::npos) << key << " missing in " << json;
+    EXPECT_EQ(json.find(quoted, at + 1), std::string::npos) << key;
+    EXPECT_GT(at, last_at) << key << " out of table order in " << json;
+    last_at = at;
+    EXPECT_EQ(doc->Get(key).AsUint(), value++) << key;
+  }
+
+  LocatorStats sum = result.locator;
+  sum.Accumulate(result.locator);
+  for (const LedgerRow& row : kQueryLedger) {
+    EXPECT_EQ(sum.*row.field, 2 * (result.locator.*row.field)) << row.name;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "src/common/build_info.h"
 #include "src/common/json.h"
+#include "src/query/locator.h"
 #include "src/server/client.h"
 #include "src/server/daemon.h"
 #include "src/server/request_log.h"
@@ -298,7 +299,7 @@ TEST_F(TelemetryServerTest, RequestIdEchoedMintedAndJoinsTheLogs) {
         EXPECT_EQ(doc->Get("archive").AsString(), "arch");
         EXPECT_EQ(doc->Get("status").AsUint(), 200u);
         EXPECT_GT(doc->Get("dur_ns").AsUint(), 0u);
-        EXPECT_GT(doc->Get("blocks_queried").AsUint(), 0u);
+        EXPECT_GT(doc->Get("stats").Get("blocks_queried").AsUint(), 0u);
       }
     }
   }
@@ -323,6 +324,83 @@ TEST_F(TelemetryServerTest, RequestIdEchoedMintedAndJoinsTheLogs) {
 // Slow-query capture replays the request as it was served: its tenant
 // predicate prunes the same shards, and its degrade=0 fails the same way
 // instead of quarantining a block the served request left alone.
+// The access log and /metrics render the query ledger from the table the
+// /query body uses: a cold query's access-log "stats" equals the body's key
+// for key, and each stage the engine publishes moved its query.<stage>_ns
+// histogram sum by exactly the body's figure.
+TEST_F(TelemetryServerTest, AccessLogAndStageHistogramsAgreeWithTheBody) {
+  std::mutex mu;
+  std::vector<std::string> lines;
+  DaemonOptions options = BaseOptions();
+  options.access_log.flush_interval_ms = 1;
+  options.access_log.sink = [&](std::string_view line) {
+    std::lock_guard<std::mutex> lock(mu);
+    lines.emplace_back(line);
+  };
+  LoggrepDaemon daemon(std::move(options));
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const std::map<std::string, HistogramSnapshot> before =
+      daemon.metrics().HistogramSnapshots();
+  DaemonClient client("127.0.0.1", *port);
+  RemoteQueryOptions qopts;
+  qopts.request_id = "ledger-agreement-1";
+  Result<RemoteQueryResult> r = client.Query("arch", command_, qopts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->http_status, 200) << r->body;
+  const std::map<std::string, HistogramSnapshot> after =
+      daemon.metrics().HistogramSnapshots();
+  daemon.Shutdown();  // flushes the access log
+
+  Result<JsonValue> body = ParseJson(r->body);
+  ASSERT_TRUE(body.ok()) << r->body;
+  const std::map<std::string, JsonValue>& body_stats =
+      body->Get("stats").AsObject();
+  ASSERT_FALSE(body_stats.empty()) << r->body;
+  EXPECT_GT(body_stats.at("blocks_queried").AsUint(), 0u) << r->body;
+
+  bool found = false;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const std::string& line : lines) {
+      Result<JsonValue> doc = ParseJson(line);
+      ASSERT_TRUE(doc.ok()) << line;
+      if (doc->Get("rid").AsString() != qopts.request_id) {
+        continue;
+      }
+      found = true;
+      EXPECT_EQ(doc->Get("hits").AsUint(), r->hits.size()) << line;
+      const JsonValue& logged = doc->Get("stats");
+      ASSERT_TRUE(logged.is_object()) << line;
+      EXPECT_EQ(logged.AsObject().size(), body_stats.size()) << line;
+      for (const auto& [key, value] : body_stats) {
+        EXPECT_FALSE(logged.Get(key).is_null()) << key << " missing: " << line;
+        EXPECT_EQ(logged.Get(key).AsUint(), value.AsUint()) << key;
+      }
+    }
+  }
+  EXPECT_TRUE(found) << "query line missing from the access log";
+
+  size_t stages = 0;
+  for (const LedgerRow& row : kQueryLedger) {
+    if (!row.stage || !row.engine_metric) {
+      continue;
+    }
+    std::string key;
+    AppendLedgerKey(&key, row);
+    const std::string series = "query." + key;
+    const auto was = before.find(series);
+    const auto now = after.find(series);
+    ASSERT_NE(now, after.end()) << series << " not published";
+    const uint64_t delta =
+        now->second.sum - (was == before.end() ? 0 : was->second.sum);
+    EXPECT_EQ(delta, body_stats.at(key).AsUint()) << series;
+    ++stages;
+  }
+  EXPECT_EQ(stages, 5u);  // open, stamp_filter, decompress, scan, reconstruct
+}
+
 TEST_F(TelemetryServerTest, SlowQueryCaptureReplaysTheWholeRequest) {
   DatasetSpec spec = AllDatasets().front();
   spec.seed = 42 * 1000003 + 1;  // the same text as "arch": command_ hits it
@@ -429,7 +507,7 @@ TEST_F(TelemetryServerTest, AccessLogWellFormedUnderConcurrentKeepAlive) {
     ASSERT_TRUE(doc.ok()) << line;
     for (const char* field :
          {"ts_ms", "rid", "rid64", "method", "path", "status", "bytes",
-          "dur_ns", "stage_ns", "degraded", "shed"}) {
+          "dur_ns", "stats", "degraded", "shed"}) {
       EXPECT_FALSE(doc->Get(field).is_null()) << field << " in " << line;
     }
     if (doc->Get("path").AsString() == "/query") {
