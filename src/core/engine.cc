@@ -141,14 +141,19 @@ std::string LogGrepEngine::CompressBlock(std::string_view text) const {
 Result<QueryResult> LogGrepEngine::Query(std::string_view box_bytes,
                                          std::string_view command,
                                          BlockExplain* explain) {
+  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
+  if (!expr.ok()) {
+    return expr.status();
+  }
   return QueryBox(
       BoxKey::FromBytes(box_bytes),
       [box_bytes]() -> Result<std::string> { return std::string(box_bytes); },
-      command, explain);
+      **expr, command, explain);
 }
 
 Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
                                             const BoxLoader& load,
+                                            const QueryExpr& expr,
                                             std::string_view command,
                                             BlockExplain* explain) {
   const TraceSpan query_span("engine.query", "query");
@@ -172,11 +177,6 @@ Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
       }
       return result;
     }
-  }
-
-  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
-  if (!expr.ok()) {
-    return expr.status();
   }
 
   // Open stage: a warm box-cache entry skips the loader (typically a file
@@ -228,7 +228,7 @@ Result<QueryResult> LogGrepEngine::QueryBox(const BoxKey& key,
   Evaluation ev;
   {
     const TraceSpan scan_span("engine.scan", "query");
-    ev = EvaluateExpr(querier, **expr);
+    ev = EvaluateExpr(querier, expr);
     scan_nanos = net(scan_timer.ElapsedNanos(), charged());
   }
   if (!querier.status().ok()) {

@@ -35,6 +35,8 @@
 
 namespace loggrep {
 
+struct QueryExpr;
+
 struct EngineOptions {
   bool use_real = true;     // runtime patterns in real variable vectors
   bool use_nominal = true;  // runtime patterns in nominal variable vectors
@@ -73,9 +75,9 @@ class LogGrepEngine {
   // Compresses one log block into serialized CapsuleBox bytes.
   std::string CompressBlock(std::string_view text) const;
 
-  // Runs a grep-like query command against a CapsuleBox: QueryBox with a
-  // content-derived identity (BoxKey::FromBytes) and a loader that copies
-  // `box_bytes` on a box-cache miss. A non-null `explain` records the
+  // Runs a grep-like query command against a CapsuleBox: parses it, then
+  // QueryBox with a content-derived identity (BoxKey::FromBytes) and a
+  // loader that copies `box_bytes` on a box-cache miss. A non-null `explain` records the
   // per-variable-vector, per-Capsule decision tree (src/query/explain.h);
   // explained executions bypass the command-level QueryCache in both
   // directions, since the record must describe a real execution.
@@ -83,11 +85,12 @@ class LogGrepEngine {
                             std::string_view command,
                             BlockExplain* explain = nullptr);
 
-  // Same, but with an externally assigned identity and a lazy loader: on a
-  // warm box-cache entry the loader is never invoked, so callers that read
-  // box bytes from disk (LogArchive) skip the file read entirely.
+  // Same, on the parsed `expr` of `command` (which stays the command cache
+  // key), with an externally assigned identity and a lazy loader: on a warm
+  // box-cache entry the loader is never invoked, so LogArchive, which reads
+  // box bytes from disk, skips the file read entirely.
   Result<QueryResult> QueryBox(const BoxKey& key, const BoxLoader& load,
-                               std::string_view command,
+                               const QueryExpr& expr, std::string_view command,
                                BlockExplain* explain = nullptr);
 
   // Thread-safety: the query entry points may run concurrently (the command

@@ -1,5 +1,6 @@
 #include "src/server/archive_service.h"
 
+#include <cstring>
 #include <utility>
 
 #include "src/common/json.h"
@@ -9,7 +10,32 @@ namespace loggrep {
 
 namespace {
 
-void AppendPartialJson(std::string* out, const PartialReport& partial) {
+// Writes every path under `root` relative to it: "<root>/a/b" becomes
+// "a/b" and the bare root ".". Every diagnostic a served body carries
+// (errors, holes, explain renders) goes through here, so an archive appears
+// as the client named it and the daemon's own filesystem layout never
+// reaches a client. Hit text is log data and never passes through here.
+std::string WithoutRoot(std::string_view text, const std::string& root) {
+  std::string out(text);
+  if (root.empty()) {
+    return out;
+  }
+  for (const auto& [from, to] : {std::pair{root + "/", ""}, {root, "."}}) {
+    for (size_t at = out.find(from); at != std::string::npos;
+         at = out.find(from, at + std::strlen(to))) {
+      out.replace(at, from.size(), to);
+    }
+  }
+  return out;
+}
+
+void AppendDiagnosticJson(std::string* out, std::string_view text,
+                          const std::string& root) {
+  AppendJsonString(out, WithoutRoot(text, root));
+}
+
+void AppendPartialJson(std::string* out, const PartialReport& partial,
+                       const std::string& root) {
   out->append("{\"lines_missing\":");
   AppendUint(out, partial.lines_missing());
   out->append(",\"failures\":[");
@@ -26,7 +52,7 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
     out->append(",\"line_count\":");
     AppendUint(out, f.line_count);
     out->append(",\"error\":");
-    AppendJsonString(out, f.error);
+    AppendDiagnosticJson(out, f.error, root);
     out->append(",\"newly_quarantined\":");
     out->append(f.newly_quarantined ? "true" : "false");
     out->append(",\"tombstoned\":");
@@ -43,10 +69,11 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
 //    "shard_failures":[...],     -- only when a whole shard failed
 //    "explain":{"invariant_ok":bool,"totals":{...},"render":"..."}}
 // The hit list is followed directly by "stats", which clients locate by
-// that adjacency.
+// that adjacency. Diagnostics name paths relative to `root`.
 std::string RenderQueryJson(const SetQueryResult& result,
                             std::string_view stats, bool is_set,
-                            const ExplainSection* explain) {
+                            const ExplainSection* explain,
+                            const std::string& root) {
   std::string out;
   out.reserve(4096 + result.hits.size() * 48);
   out.append("{\"complete\":");
@@ -79,7 +106,7 @@ std::string RenderQueryJson(const SetQueryResult& result,
   }
   if (result.partial.partial()) {
     out.append(",\"partial\":");
-    AppendPartialJson(&out, result.partial);
+    AppendPartialJson(&out, result.partial, root);
   }
   if (!result.shard_failures.empty()) {
     out.append(",\"shard_failures\":[");
@@ -98,7 +125,7 @@ std::string RenderQueryJson(const SetQueryResult& result,
       out.append(",\"line_count\":");
       AppendUint(&out, f.lines);
       out.append(",\"error\":");
-      AppendJsonString(&out, f.error);
+      AppendDiagnosticJson(&out, f.error, root);
       out.push_back('}');
     }
     out.push_back(']');
@@ -108,7 +135,7 @@ std::string RenderQueryJson(const SetQueryResult& result,
     out.append(explain->invariant_ok ? "true" : "false");
     if (!explain->invariant_ok) {
       out.append(",\"invariant_detail\":");
-      AppendJsonString(&out, explain->invariant_detail);
+      AppendDiagnosticJson(&out, explain->invariant_detail, root);
     }
     out.append(",\"totals\":{\"visited\":");
     AppendUint(&out, explain->totals.visited);
@@ -119,18 +146,18 @@ std::string RenderQueryJson(const SetQueryResult& result,
     out.append(",\"decompressed\":");
     AppendUint(&out, explain->totals.decompressed);
     out.append("},\"render\":");
-    AppendJsonString(&out, explain->render);
+    AppendDiagnosticJson(&out, explain->render, root);
     out.append("}");
   }
   out.push_back('}');
   return out;
 }
 
-ServiceResponse ErrorResponse(const Status& status) {
+ServiceResponse ErrorResponse(const Status& status, const std::string& root) {
   ServiceResponse response;
   response.http_status = HttpStatusForQueryError(status);
   response.body = "{\"error\":";
-  AppendJsonString(&response.body, status.ToString());
+  AppendDiagnosticJson(&response.body, status.ToString(), root);
   response.body.append(",\"code\":");
   AppendJsonString(&response.body, StatusCodeName(status.code()));
   response.body.push_back('}');
@@ -327,7 +354,7 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   const TraceSpan span("server.run_query", "server");
   Result<QueryOutcome> outcome = Query(request);
   if (!outcome.ok()) {
-    return ErrorResponse(outcome.status());
+    return ErrorResponse(outcome.status(), options_.root);
   }
   const SetQueryResult& result = outcome->result;
   ServiceResponse response;
@@ -337,9 +364,10 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   response.stats = QueryStatsJson(result);
   response.body = RenderQueryJson(
       result, response.stats, outcome->is_set,
-      outcome->explain ? &*outcome->explain : nullptr);
+      outcome->explain ? &*outcome->explain : nullptr, options_.root);
   if (outcome->explain) {
-    response.explain_render = std::move(outcome->explain->render);
+    response.explain_render = WithoutRoot(outcome->explain->render,
+                                          options_.root);
   }
   return response;
 }
@@ -347,12 +375,13 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
 ServiceResponse ArchiveService::Compact(const std::string& archive) {
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(archive);
   if (!handle.ok()) {
-    return ErrorResponse(handle.status());
+    return ErrorResponse(handle.status(), options_.root);
   }
   if ((*handle)->set == nullptr) {
     return ErrorResponse(
         InvalidArgument("compaction targets an ArchiveSet root; '" + archive +
-                        "' is a plain archive"));
+                        "' is a plain archive"),
+        options_.root);
   }
   // Compact serializes against other compactors itself and commits under
   // the set's own lock, so queries keep flowing while blocks are rewritten.
@@ -364,10 +393,10 @@ ServiceResponse ArchiveService::Compact(const std::string& archive) {
   out.append(report.ok() ? "true" : "false");
   if (!report.ok()) {
     out.append(",\"error\":");
-    AppendJsonString(&out, report.fatal.ToString());
+    AppendDiagnosticJson(&out, report.fatal.ToString(), options_.root);
   }
   out.append(",\"summary\":");
-  AppendJsonString(&out, report.Summary());
+  AppendDiagnosticJson(&out, report.Summary(), options_.root);
   out.append(",\"report\":{\"runs_planned\":");
   AppendUint(&out, report.runs_planned);
   out.append(",\"merges_committed\":");

@@ -156,7 +156,9 @@ class ArchiveService {
   Result<QueryOutcome> Query(const ServiceRequest& request);
 
   // Query plus the render half: the JSON body, the status mapping and the
-  // access-log stats.
+  // access-log stats. Run and Compact write every path in a body (errors,
+  // holes, explain renders) relative to ServiceOptions::root, so a client
+  // sees the archive as it named it, never the serving root.
   ServiceResponse Run(const ServiceRequest& request);
 
   // Admin: runs one compaction pass (ArchiveSet::Compact) over the named

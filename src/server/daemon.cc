@@ -554,10 +554,7 @@ void LoggrepDaemon::FinishRequest(const HttpRequest* request,
     // degrade, deadline), so it prunes and fails exactly as the slow run did.
     ServiceRequest sr = rec->request;
     sr.explain = true;
-    Result<QueryOutcome> rerun = service_->Query(sr);
-    if (rerun.ok()) {
-      entry.explain_render = std::move(rerun->explain->render);
-    }
+    entry.explain_render = service_->Run(sr).explain_render;
   }
   slow_log_->Record(std::move(entry));
   metrics_->GetOrCreate("server.slow_queries")->Increment();

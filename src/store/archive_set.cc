@@ -6,7 +6,7 @@
 
 #include "src/common/json.h"
 #include "src/common/string_util.h"
-#include "src/common/thread_pool.h"
+#include "src/common/trace.h"
 #include "src/query/query_parser.h"
 #include "src/store/fs_util.h"
 
@@ -651,43 +651,35 @@ Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
                                          const SetQueryPredicate& pred,
                                          const QueryOptions& options,
                                          SetExplain* explain) {
-  // A malformed command must fail even when every shard is pruned (the
-  // answer "no hits" would be a lie about a query that has no meaning).
-  {
-    Result<std::unique_ptr<QueryExpr>> parsed = ParseQuery(command);
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-  }
+  const TraceSpan span(explain != nullptr ? "archive.explain" : "archive.query",
+                       "query");
   if (explain != nullptr) {
     explain->command = std::string(command);
     explain->shards.clear();
   }
+  // A malformed command fails even when every shard is pruned (the answer
+  // "no hits" would be a lie about a query that has no meaning).
+  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
+  if (!expr.ok()) {
+    return expr.status();
+  }
 
-  // Snapshot under mu_: prune shards, open the survivors, and copy what the
-  // gather needs. The scatter below runs without mu_; the shared handles
-  // keep every visited shard alive (and its directory on disk) even if
-  // retention or a compaction commit retires it meanwhile.
+  // Snapshot under mu_: prune shards and open the survivors. Planning and
+  // the run go without mu_; the pinned handles keep every visited shard
+  // alive (and its directory on disk) even if retention or a compaction
+  // commit retires it meanwhile.
   SetQueryResult result;
   struct Visit {
-    ShardInfo shard;                      // copied: shards_ may change
     std::shared_ptr<LogArchive> archive;  // pinned handle
-    size_t explain_index;                 // into explain->shards (or SIZE_MAX)
+    uint64_t line_base;
+    QueryExplain* tree;  // the shard's explain record, or null
   };
   std::vector<Visit> visits;
-  // Records a whole-shard hole (and marks the shard's explain entry).
-  auto fail_shard = [&](const ShardInfo& s, size_t explain_index,
-                        const Status& cause) {
-    ++result.shards_failed;
-    SetShardFailure failure{s.id, s.tenant, s.line_base, s.lines,
-                            cause.ToString()};
-    if (explain_index != SIZE_MAX) {
-      explain->shards[explain_index].failed = true;
-      explain->shards[explain_index].failure = failure.error;
-    }
-    result.shard_failures.push_back(std::move(failure));
-  };
   std::unique_lock<std::mutex> lock(mu_);
+  if (explain != nullptr) {
+    // Keeps the shards' block records where the plan points at them.
+    explain->shards.reserve(shards_.size());
+  }
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardInfo& s = shards_[i];
     if (!s.live()) {
@@ -696,99 +688,57 @@ Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
       continue;
     }
     ++result.shards_total;
+    ShardExplain* se = nullptr;
+    if (explain != nullptr) {
+      se = &explain->shards.emplace_back();
+      se->id = s.id;
+      se->tenant = s.tenant;
+    }
     std::string reason = ShardPruneReason(s, pred);
     if (!reason.empty()) {
       ++result.shards_pruned;
-      if (explain != nullptr) {
-        ShardExplain se;
-        se.id = s.id;
-        se.tenant = s.tenant;
-        se.pruned = true;
-        se.prune_reason = std::move(reason);
-        explain->shards.push_back(std::move(se));
+      if (se != nullptr) {
+        se->pruned = true;
+        se->prune_reason = std::move(reason);
       }
       continue;
     }
     ++result.shards_visited;
-    size_t explain_index = SIZE_MAX;
-    if (explain != nullptr) {
-      ShardExplain se;
-      se.id = s.id;
-      se.tenant = s.tenant;
-      explain->shards.push_back(std::move(se));
-      explain_index = explain->shards.size() - 1;
-    }
     Result<std::shared_ptr<LogArchive>> arch = OpenShardLocked(i);
     if (!arch.ok()) {
       if (!options.degrade) {
         return arch.status();
       }
-      fail_shard(s, explain_index, arch.status());
+      // A whole-shard hole.
+      ++result.shards_failed;
+      SetShardFailure failure{s.id, s.tenant, s.line_base, s.lines,
+                              arch.status().ToString()};
+      if (se != nullptr) {
+        se->failed = true;
+        se->failure = failure.error;
+      }
+      result.shard_failures.push_back(std::move(failure));
       continue;
     }
-    visits.push_back(Visit{s, std::move(*arch), explain_index});
+    QueryExplain* tree = nullptr;
+    if (se != nullptr) {
+      tree = &se->archive;
+      tree->command = std::string(command);
+    }
+    visits.push_back(Visit{std::move(*arch), s.line_base, tree});
   }
   lock.unlock();
 
-  // Scatter. Each visit queries a distinct LogArchive; each archive is
-  // itself safe for concurrent queries from other callers.
-  struct Slot {
-    bool done = false;
-    Status status = OkStatus();
-    ArchiveQueryResult result;
-  };
-  std::vector<Slot> slots(visits.size());
-  // Parallelism lives at one level: the shards fan out, each shard's blocks
-  // run serially.
-  QueryOptions shard_options = options;
-  shard_options.threads = 1;
-  auto run_one = [&](size_t v) {
-    Slot& slot = slots[v];
-    Result<ArchiveQueryResult> r = visits[v].archive->Query(
-        command, shard_options,
-        explain != nullptr ? &explain->shards[visits[v].explain_index].archive
-                           : nullptr);
-    if (r.ok()) {
-      slot.result = std::move(*r);
-      slot.done = true;
-    } else {
-      slot.status = r.status();
-    }
-  };
-  ParallelFor(visits.size(), explain != nullptr ? 1 : options.threads,
-              run_one);
-
-  // Gather in id order (visits preserve it), rebasing shard-local line
-  // numbers onto each shard's global base.
-  for (size_t v = 0; v < visits.size(); ++v) {
-    const ShardInfo& s = visits[v].shard;
-    Slot& slot = slots[v];
-    if (!slot.done) {
-      // A whole-shard query failure. Query-syntax errors never degrade
-      // (same rule as LogArchive) — but the upfront parse already caught
-      // those, so any InvalidArgument here is real and must surface.
-      if (!options.degrade ||
-          slot.status.code() == StatusCode::kInvalidArgument) {
-        return slot.status;
-      }
-      fail_shard(s, visits[v].explain_index, slot.status);
-      continue;
-    }
-    ArchiveQueryResult& r = slot.result;
-    for (auto& hit : r.hits) {
-      result.hits.emplace_back(s.line_base + hit.first,
-                               std::move(hit.second));
-    }
-    result.blocks_pruned += r.blocks_pruned;
-    result.blocks_queried += r.blocks_queried;
-    result.blocks_from_cache += r.blocks_from_cache;
-    result.locator.Accumulate(r.locator);
-    for (BlockQueryFailure& f : r.partial.failures) {
-      f.first_line += s.line_base;
-      result.partial.failures.push_back(std::move(f));
-    }
+  std::vector<PlannedBlock> plan;
+  for (const Visit& v : visits) {
+    LOGGREP_RETURN_IF_ERROR(v.archive->PlanQuery(
+        **expr, options.degrade, v.line_base, v.tree, &plan, &result));
   }
-  // Visit order is line_base order, so hits usually gather already sorted —
+
+  LOGGREP_RETURN_IF_ERROR(LogArchive::RunPlan(&plan, **expr, command, options,
+                                              storage_env(),
+                                              explain != nullptr, &result));
+  // Plan order is line_base order, so hits usually gather already sorted —
   // except when a merged shard's span interleaves with other tenants' bases.
   // Global line numbers are unique, so sorting by them is a total order.
   if (!std::is_sorted(result.hits.begin(), result.hits.end(),
@@ -852,6 +802,13 @@ std::string SetExplain::Render() const {
     out += "visited (capsules " + std::to_string(t.visited) + " = pruned " +
            std::to_string(t.pruned) + " + cached " + std::to_string(t.cached) +
            " + decompressed " + std::to_string(t.decompressed) + ")\n";
+    // Holes inside a visited shard, worded as QueryExplain::Render words them.
+    for (const BlockExplain& block : s.archive.blocks) {
+      if (block.block_failed) {
+        out += "  block " + std::to_string(block.seq) + "  [FAILED: " +
+               block.failure + "]\n";
+      }
+    }
   }
   ExplainTotals t = Totals();
   out += "total: capsules " + std::to_string(t.visited) + " = pruned " +

@@ -5,8 +5,9 @@
 // TB/day across many streams (§2, §8), which needs one more dimension:
 // ArchiveSet owns many shards, routes every append to the active shard of
 // its tenant (rolling to a new shard when the time window moves or the shard
-// hits its size cut), and scatter-gathers queries across the shards that
-// survive tenant/time-range pruning, merging per-shard results into one
+// hits its size cut), and scatter-gathers queries over the blocks of the
+// shards that survive tenant/time-range pruning, as one plan run by the same
+// block executor a single archive uses (LogArchive::RunPlan), into one
 // globally line-numbered answer.
 //
 // Crash safety follows the store's one discipline, lifted a level: the
@@ -54,21 +55,22 @@
 // global line line_base + L — stable across retention, compaction, and
 // reopen, and safely summable into 64 bits (2^24 shards of 2^40 lines).
 //
-// Degradation composes: one failing block inside a shard degrades that
-// shard's result (PartialReport, PR 5); one failing *shard* degrades the
-// federation the same way — the set answer carries exact hits from every
-// healthy shard plus a report naming each hole, and the serving layer maps
-// it to HTTP 206 exactly as for a single archive.
+// Degradation composes: one failing block of any visited shard becomes a
+// hole in the set's PartialReport, exactly as in a single archive; one
+// shard that cannot even open degrades the federation the same way — the
+// set answer carries exact hits from every healthy block plus a report
+// naming each hole, and the serving layer maps it to HTTP 206 exactly as
+// for a single archive.
 //
 // Thread-safety: every public method but set_commit_hook is safe to call
 // concurrently. Writers (Append, retention, repair, the compaction commit)
 // serialize on one internal mutex; Append summarizes and compresses its
 // block before taking it and holds it only for the roll decision, the
 // range-widening manifest write and the block commit. A query holds that
-// mutex only to snapshot its visit list — parse, shard pruning, lazy shard
-// opens, and a copy of each visited shard's ShardInfo plus a shared handle
-// — then scatters without it, so queries run in parallel with each other
-// and with writers. Each shard archive guards itself (LogArchive: shared
+// mutex only to snapshot its visit list — shard pruning, lazy shard opens,
+// and a shared handle pinning each visited shard — then plans and runs its
+// blocks without it, so queries run in parallel with each other and with
+// writers. Each shard archive guards itself (LogArchive: shared
 // reads, exclusive commits). A shard that retention or compaction retires
 // while a query still holds its handle keeps its directory until that query
 // lets go; the snapshot makes every query see a shard set that was current at
@@ -122,9 +124,9 @@ struct AppendReceipt {
   RollReason roll_reason = RollReason::kNone;
 };
 
-// A shard the federated query could not serve at all (archive failed to
-// open, or the whole per-shard query failed). Block-level holes inside
-// shards that *did* answer land in SetQueryResult::partial instead.
+// A shard the federated query could not serve at all (its archive failed to
+// open). Block-level holes inside shards that did open land in
+// SetQueryResult::partial instead.
 struct SetShardFailure {
   uint64_t shard_id = 0;
   std::string tenant;
@@ -252,11 +254,12 @@ class ArchiveSet {
                                uint64_t ts_ns = 0);
 
   // Federated query over every live shard surviving `pred`. `options`
-  // (degrade, retry deadline, threads) applies to this call only; with
-  // degrade off an unopenable or failing shard fails the query instead of
-  // becoming a hole. options.threads > 1 queries the surviving shards
-  // concurrently on that many pool workers (each shard serially); otherwise
-  // the scatter goes shard at a time.
+  // (degrade, retry deadline, threads) applies to this call only: one retry
+  // deadline covers every block the call reads, and with degrade off an
+  // unopenable shard or a failing block fails the query instead of becoming
+  // a hole. The command is parsed once; the blocks of all surviving shards
+  // run as one plan, on options.threads pool workers when > 1, otherwise
+  // block at a time.
   //
   // With a non-null `explain` the call also records the shard-level
   // decision tree: `explain` is reset, pruned shards carry the rejecting

@@ -634,9 +634,9 @@ Result<std::string> LogArchive::LoadBlockBytes(uint32_t seq,
                        options_.metrics);
 }
 
-bool LogArchive::QuarantineBlock(const BlockRef& block, const Status& cause) {
+bool LogArchive::QuarantineBlock(uint32_t seq, const Status& cause) {
   QuarantineEntry entry;
-  entry.seq = block.seq;
+  entry.seq = seq;
   entry.code = StatusCodeName(cause.code());
   entry.error = cause.message();
   entry.quarantined_unix = static_cast<uint64_t>(::time(nullptr));
@@ -659,65 +659,126 @@ bool LogArchive::QuarantineBlock(const BlockRef& block, const Status& cause) {
   return true;
 }
 
-void LogArchive::ReportHole(const BlockRef& block, std::string error,
-                            bool newly_quarantined, bool tombstoned,
-                            PartialReport* report) {
-  report->failures.push_back(BlockQueryFailure{block.seq, block.first_line,
-                                               block.line_count,
-                                               std::move(error),
-                                               newly_quarantined, tombstoned});
-}
-
-bool LogArchive::SkipIfQuarantined(const BlockRef& block,
-                                   PartialReport* report) const {
-  const QuarantineEntry* entry = quarantine_.Find(block.seq);
-  if (entry == nullptr) {
-    return false;
-  }
-  ReportHole(block,
-             entry->code.empty() ? entry->error
-                                 : entry->code + ": " + entry->error,
-             /*newly_quarantined=*/false, entry->tombstoned, report);
-  return true;
-}
-
-bool LogArchive::DegradeOnFailure(const BlockRef& block, const Status& cause,
-                                  bool degrade, PartialReport* report) {
-  // A malformed query is the caller's bug, not the block's: never degrade.
-  if (!degrade || cause.code() == StatusCode::kInvalidArgument) {
-    return false;
-  }
-  const bool fresh = QuarantineBlock(block, cause);
-  ReportHole(block, cause.ToString(), fresh, /*tombstoned=*/false, report);
-  return true;
-}
-
-uint64_t LogArchive::PruneBlocks(const QueryExpr& expr,
-                                 std::vector<BlockRef>* to_query,
-                                 uint32_t* pruned,
-                                 QueryExplain* explain) const {
+Status LogArchive::PlanQuery(const QueryExpr& expr, bool degrade,
+                             uint64_t line_base, QueryExplain* explain,
+                             std::vector<PlannedBlock>* plan,
+                             ArchiveQueryResult* result) {
+  // Everything after this snapshot runs unlocked: committed block files are
+  // immutable.
+  const std::shared_lock<std::shared_mutex> lock(*mu_);
   const TraceSpan span("archive.prune", "query", "blocks", blocks_.size());
   const WallTimer timer;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    const BlockInfo& block = blocks_[i];
-    std::string reason;
-    const bool drop = !BlockMayMatch(block, expr,
-                                     explain != nullptr ? &reason : nullptr);
-    if (explain != nullptr) {
-      BlockExplain be;
-      be.seq = block.seq;
-      be.block_pruned = drop;
-      be.prune_reason = std::move(reason);
-      explain->blocks.push_back(std::move(be));
-    }
-    if (drop) {
-      ++*pruned;
-    } else {
-      to_query->push_back(
-          BlockRef{block.seq, block.first_line, block.line_count, i});
-    }
+  if (explain != nullptr) {
+    explain->blocks.reserve(blocks_.size());  // keeps the records' addresses
   }
-  return timer.ElapsedNanos();
+  const size_t first = plan->size();
+  size_t holes = 0;
+  for (const BlockInfo& block : blocks_) {
+    std::string reason;
+    const bool pruned = !BlockMayMatch(block, expr,
+                                       explain != nullptr ? &reason : nullptr);
+    BlockExplain* be = nullptr;
+    if (explain != nullptr) {
+      be = &explain->blocks.emplace_back();
+      be->seq = block.seq;
+      be->block_pruned = pruned;
+      be->prune_reason = std::move(reason);
+    }
+    if (pruned) {
+      ++result->blocks_pruned;
+      continue;
+    }
+    PlannedBlock planned{this, block.seq, line_base + block.first_line,
+                         block.line_count, be, std::nullopt};
+    // A known-sick block is a standing hole: no read, no retry storm.
+    const QuarantineEntry* entry = quarantine_.Find(block.seq);
+    if (entry == nullptr) {
+      plan->push_back(std::move(planned));
+      continue;
+    }
+    std::string error = entry->code.empty()
+                            ? entry->error
+                            : entry->code + ": " + entry->error;
+    // Strict mode is complete-or-error: a standing hole (even one a repair
+    // already tombstoned) makes the answer incomplete, so it must fail
+    // rather than silently narrow to the healthy blocks.
+    if (!degrade) {
+      return Status(StatusCode::kUnavailable,
+                    "block " + std::to_string(block.seq) +
+                        " is quarantined and degraded queries are "
+                        "disabled: " + error);
+    }
+    planned.hole = BlockQueryFailure{block.seq, planned.first_line,
+                                     block.line_count, std::move(error),
+                                     /*newly_quarantined=*/false,
+                                     entry->tombstoned};
+    // Holes go before this archive's reads (rare, so inserting is cheap).
+    plan->insert(plan->begin() + first + holes++, std::move(planned));
+  }
+  result->locator.prune_nanos += timer.ElapsedNanos();
+  return OkStatus();
+}
+
+Status LogArchive::RunPlan(std::vector<PlannedBlock>* plan,
+                           const QueryExpr& expr, std::string_view command,
+                           const QueryOptions& options, StorageEnv* env,
+                           bool explained, ArchiveQueryResult* result) {
+  // One retry budget shared by every block, whichever archive owns it: the
+  // *query* has a deadline, not each block (Expired() is a lock-free read
+  // of the env clock).
+  const RetryBudget budget(env, options.deadline_ns);
+  std::vector<std::optional<Result<QueryResult>>> slots(plan->size());
+  auto run_one = [&](size_t i) {
+    const PlannedBlock& block = (*plan)[i];
+    if (block.hole.has_value()) {
+      return;
+    }
+    // On a worker, ThreadPool installs the submitting span as parent, so
+    // this span nests under the query's span either way.
+    const TraceSpan block_span("archive.query_block", "query", "seq",
+                               block.seq);
+    const LogArchive& archive = *block.archive;
+    // Warm blocks never touch the file: the loader only runs on a box-cache
+    // miss (or when the archive runs without a cache).
+    auto loader = [&archive, &block, &budget]() -> Result<std::string> {
+      return archive.LoadBlockBytes(block.seq, &budget);
+    };
+    slots[i].emplace(archive.engine_->QueryBox(
+        archive.KeyForBlock(block.seq), loader, expr, command, block.explain));
+  };
+  ParallelFor(plan->size(), explained ? 1 : options.threads, run_one);
+
+  // Gather in plan order, rebasing block-local line numbers.
+  for (size_t i = 0; i < plan->size(); ++i) {
+    PlannedBlock& block = (*plan)[i];
+    if (!block.hole.has_value()) {
+      Result<QueryResult>& r = *slots[i];
+      if (r.ok()) {
+        ++result->blocks_queried;
+        if (r->from_cache) {
+          ++result->blocks_from_cache;
+        }
+        for (auto& [line, text] : r->hits) {
+          result->hits.emplace_back(block.first_line + line, std::move(text));
+        }
+        result->locator.Accumulate(r->locator);
+        continue;
+      }
+      if (!options.degrade) {
+        return r.status();
+      }
+      const bool fresh = block.archive->QuarantineBlock(block.seq, r.status());
+      block.hole = BlockQueryFailure{block.seq, block.first_line,
+                                     block.line_count, r.status().ToString(),
+                                     fresh, /*tombstoned=*/false};
+    }
+    if (block.explain != nullptr) {
+      block.explain->block_failed = true;
+      block.explain->failure = block.hole->error;
+    }
+    result->partial.failures.push_back(std::move(*block.hole));
+  }
+  return OkStatus();
 }
 
 Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
@@ -733,87 +794,12 @@ Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
   if (!expr.ok()) {
     return expr.status();
   }
-
-  // Snapshot under the reader lock: prune, then set known-sick blocks aside
-  // (a standing hole each, no retry storm). Everything after runs unlocked.
-  // PruneBlocks gives each block its record in `explain` at block.index.
   ArchiveQueryResult result;
-  auto mark_failed = [&](const BlockRef& block) {
-    if (explain != nullptr) {
-      BlockExplain& be = explain->blocks[block.index];
-      be.block_failed = true;
-      be.failure = result.partial.failures.back().error;
-    }
-  };
-  std::vector<BlockRef> to_query;
-  std::vector<BlockRef> submitted;
-  {
-    const std::shared_lock<std::shared_mutex> lock(*mu_);
-    result.locator.prune_nanos =
-        PruneBlocks(**expr, &to_query, &result.blocks_pruned, explain);
-    submitted.reserve(to_query.size());
-    for (const BlockRef& block : to_query) {
-      if (!SkipIfQuarantined(block, &result.partial)) {
-        submitted.push_back(block);
-        continue;
-      }
-      // Strict mode is complete-or-error: a standing hole (even one a repair
-      // already tombstoned) makes the answer incomplete, so it must fail
-      // rather than silently narrow to the healthy blocks.
-      if (!options.degrade) {
-        return Status(StatusCode::kUnavailable,
-                      "block " + std::to_string(block.seq) +
-                          " is quarantined and degraded queries are "
-                          "disabled: " +
-                          result.partial.failures.back().error);
-      }
-      mark_failed(block);
-    }
-  }
-
-  std::vector<std::optional<Result<QueryResult>>> slots(submitted.size());
-  // One retry budget shared by every block: the *query* has a deadline, not
-  // each block (Expired() is a lock-free read of the env clock).
-  const RetryBudget budget(storage_env(), options.deadline_ns);
-  auto run_one = [&](size_t i) {
-    const BlockRef& block = submitted[i];
-    // On a worker, ThreadPool installs the submitting span as parent, so
-    // this span nests under archive.query either way.
-    const TraceSpan block_span("archive.query_block", "query", "seq",
-                               block.seq);
-    // Warm blocks never touch the file: the loader only runs on a box-cache
-    // miss (or when the archive runs without a cache).
-    auto loader = [this, &block, &budget]() -> Result<std::string> {
-      return LoadBlockBytes(block.seq, &budget);
-    };
-    slots[i].emplace(engine_->QueryBox(
-        KeyForBlock(block.seq), loader, command,
-        explain != nullptr ? &explain->blocks[block.index] : nullptr));
-  };
-  ParallelFor(submitted.size(), explain != nullptr ? 1 : options.threads,
-              run_one);
-
-  // Gather in block order, rebasing block-local line numbers.
-  for (size_t i = 0; i < submitted.size(); ++i) {
-    const BlockRef& block = submitted[i];
-    Result<QueryResult>& block_result = *slots[i];
-    if (!block_result.ok()) {
-      if (!DegradeOnFailure(block, block_result.status(), options.degrade,
-                            &result.partial)) {
-        return block_result.status();
-      }
-      mark_failed(block);
-      continue;
-    }
-    ++result.blocks_queried;
-    if (block_result->from_cache) {
-      ++result.blocks_from_cache;
-    }
-    for (auto& [line, text_line] : block_result->hits) {
-      result.hits.emplace_back(block.first_line + line, std::move(text_line));
-    }
-    result.locator.Accumulate(block_result->locator);
-  }
+  std::vector<PlannedBlock> plan;
+  LOGGREP_RETURN_IF_ERROR(PlanQuery(**expr, options.degrade, /*line_base=*/0,
+                                    explain, &plan, &result));
+  LOGGREP_RETURN_IF_ERROR(RunPlan(&plan, **expr, command, options,
+                                  storage_env(), explain != nullptr, &result));
   return result;
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -60,10 +61,10 @@ struct QueryOptions {
   // Retry deadline: the call never spends more than this much wall time in
   // backoff, no matter how many blocks fail. 0 means unlimited.
   uint64_t deadline_ns = 0;
-  // Workers for this call's fan-out (blocks of a LogArchive, shards of an
-  // ArchiveSet; §6: queries parallelize trivially at that granularity). A
-  // value <= 1 runs serially. A query that records an explain tree always
-  // runs serially.
+  // Workers for this call's block fan-out (every queried block of a
+  // LogArchive, or of all visited shards of an ArchiveSet; §6: queries
+  // parallelize trivially at block granularity). A value <= 1 runs
+  // serially. A query that records an explain tree always runs serially.
   size_t threads = 1;
 };
 
@@ -142,6 +143,23 @@ struct ArchiveQueryResult {
   LocatorStats locator;  // summed over queried blocks (+ prune stage time)
 };
 
+class LogArchive;
+
+// One block of a query plan (LogArchive::PlanQuery), in global numbering:
+// `first_line` already includes the plan's line base. A plan may hold the
+// blocks of many archives; each block names its owner, which the caller
+// keeps alive until LogArchive::RunPlan returns.
+struct PlannedBlock {
+  LogArchive* archive = nullptr;
+  uint32_t seq = 0;
+  uint64_t first_line = 0;
+  uint64_t line_count = 0;
+  BlockExplain* explain = nullptr;  // this block's record, or null
+  // A standing hole (quarantined before the query): reported as is, never
+  // read.
+  std::optional<BlockQueryFailure> hole;
+};
+
 class LogArchive {
  public:
   // Creates an empty archive in `dir` (created if missing; must not already
@@ -212,6 +230,31 @@ class LogArchive {
                                    const QueryOptions& options = {},
                                    QueryExplain* explain = nullptr);
 
+  // The two halves of Query, shared with ArchiveSet, which plans every
+  // visited shard and runs them all as one plan.
+  //
+  // PlanQuery, under the reader lock: prunes with `expr`, adds the pruned
+  // count and prune time to `result`, and appends the surviving blocks to
+  // `plan` with line numbers rebased by `line_base`: standing holes first,
+  // then the blocks to read, each in block order. With a non-null
+  // `explain` (its block list empty), gives every block its record there.
+  // Fails only when `degrade` is off and a surviving block is quarantined.
+  Status PlanQuery(const QueryExpr& expr, bool degrade, uint64_t line_base,
+                   QueryExplain* explain, std::vector<PlannedBlock>* plan,
+                   ArchiveQueryResult* result);
+  // RunPlan: the one place a store query fans out, retries, degrades and
+  // gathers. Every read shares one RetryBudget of options.deadline_ns on
+  // `env`; the blocks run on options.threads workers (serially when
+  // `explained`, which also bypasses the command cache). The gather walks
+  // the plan in order, adding hits, counts and stats to `result`. A failed
+  // block is quarantined through its owner and becomes a hole, unless
+  // options.degrade is off: then the first failure in plan order is
+  // returned.
+  static Status RunPlan(std::vector<PlannedBlock>* plan, const QueryExpr& expr,
+                        std::string_view command, const QueryOptions& options,
+                        StorageEnv* env, bool explained,
+                        ArchiveQueryResult* result);
+
   // Thread-safety: Query, quarantine(), ReloadQuarantine() and the total_*()
   // sums may run concurrently with each other and with one committer. A
   // query holds the archive's reader lock
@@ -263,47 +306,18 @@ class LogArchive {
   // deadline budget: ingest durability beats latency).
   Status RetryStorage(const char* op_name,
                       const std::function<Status()>& op) const;
-  // The part of a BlockInfo a query needs after the snapshot.
-  struct BlockRef {
-    uint32_t seq = 0;
-    uint64_t first_line = 0;
-    uint64_t line_count = 0;
-    size_t index = 0;  // position in the block list (and explain->blocks)
-  };
-  // Records `cause` in the quarantine set and persists the sidecar (best
-  // effort: a failing sidecar write must not fail the query on top of the
-  // block failure; it is counted in "storage.quarantine.persist_failures").
-  // Returns false when a concurrent query already quarantined the block.
-  // Takes the writer lock.
-  bool QuarantineBlock(const BlockRef& block, const Status& cause);
-  // Appends one hole (a block the query could not serve) to `report`.
-  static void ReportHole(const BlockRef& block, std::string error,
-                         bool newly_quarantined, bool tombstoned,
-                         PartialReport* report);
-  // Appends the failure of `block` to `report` (and quarantines it when the
-  // failure is fresh). Returns false when the failure must abort the query
-  // instead (degraded queries disabled, or a query-syntax error).
-  bool DegradeOnFailure(const BlockRef& block, const Status& cause,
-                        bool degrade, PartialReport* report);
-  // When `block` is quarantined, appends the standing hole to `report` and
-  // returns true (the caller skips the block without touching storage).
-  // Caller holds the reader lock.
-  bool SkipIfQuarantined(const BlockRef& block, PartialReport* report) const;
+  // Records `cause` against block `seq` in the quarantine set and persists
+  // the sidecar (best effort: a failing sidecar write must not fail the
+  // query on top of the block failure; it is counted in
+  // "storage.quarantine.persist_failures"). Returns false when a concurrent
+  // query already quarantined the block. Takes the writer lock.
+  bool QuarantineBlock(uint32_t seq, const Status& cause);
   // Removes block-*.lgc files whose seq has no manifest entry (droppings of
   // commits that died after the block rename but before the manifest swap).
   void SweepUnreferencedBlocks() const;
 
   // Identity of block `seq` inside the shared cache.
   BoxKey KeyForBlock(uint32_t seq) const;
-  // Prunes blocks with BlockMayMatch; appends survivors to `to_query` and
-  // counts the rest. Returns elapsed nanoseconds. When `explain` is
-  // non-null, appends one BlockExplain per block (pruned ones annotated
-  // with the keyword/filter that rejected them). Caller holds the reader
-  // lock.
-  uint64_t PruneBlocks(const QueryExpr& expr,
-                       std::vector<BlockRef>* to_query, uint32_t* pruned,
-                       QueryExplain* explain) const;
-
   std::string dir_;
   ArchiveOptions options_;
   // Unique per instance, so archives sharing engine_ never share a key.

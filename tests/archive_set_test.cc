@@ -396,6 +396,43 @@ TEST(ArchiveSetTest, ParallelQueryMatchesSerial) {
   EXPECT_EQ(serial->blocks_queried, parallel->blocks_queried);
 }
 
+TEST(ArchiveSetTest, ParallelDegradedQueryMatchesSerial) {
+  FederatedFixture fx = BuildTwoByTwo("parallel-degraded");
+  const std::vector<ShardInfo> shards = fx.set->shards();
+  fx.set.reset();
+  for (size_t i : {1, 3}) {
+    ASSERT_TRUE(WriteFileBytes(fx.root + "/" + shards[i].dir_name +
+                                   "/block-0.lgc",
+                               "garbage-bytes", nullptr)
+                    .ok());
+  }
+  // Two identical copies, since a query quarantines the holes it finds.
+  const std::string copy = TestDir("parallel-degraded-copy");
+  std::filesystem::copy(fx.root, copy,
+                        std::filesystem::copy_options::recursive);
+  auto serial_set = ArchiveSet::Open(fx.root, SmallSetOptions());
+  auto parallel_set = ArchiveSet::Open(copy, SmallSetOptions());
+  ASSERT_TRUE(serial_set.ok() && parallel_set.ok());
+  auto serial = (*serial_set)->Query("shared-token", {});
+  auto parallel = (*parallel_set)->Query("shared-token", {}, {.threads = 4});
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(serial->hits, parallel->hits);
+  EXPECT_EQ(serial->hits.size(), 6u);
+  EXPECT_EQ(serial->blocks_queried, parallel->blocks_queried);
+  ASSERT_EQ(serial->partial.failures.size(), 2u);
+  ASSERT_EQ(parallel->partial.failures.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const BlockQueryFailure& a = serial->partial.failures[i];
+    const BlockQueryFailure& b = parallel->partial.failures[i];
+    EXPECT_EQ(a.first_line, fx.receipts[2 * i + 1].first_global_line);
+    EXPECT_EQ(a.first_line, b.first_line);
+    EXPECT_EQ(a.line_count, b.line_count);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_TRUE(a.newly_quarantined && b.newly_quarantined);
+  }
+}
+
 // What one query over a set of identical shards left in the set's caches.
 struct SharedCacheProbe {
   uint64_t hwm = 0;  // query.box_cache.bytes_in_use_hwm
@@ -778,6 +815,45 @@ TEST(ArchiveSetTest, BrokenShardDegradesFederationTo206) {
   QueryOptions strict;
   strict.degrade = false;
   EXPECT_FALSE((*degraded)->Query("shared-token", {}, strict).ok());
+}
+
+// The retry deadline belongs to the query, not to each shard: four shards
+// whose only block never reads spend at most one deadline in backoff
+// between them, and every block is still reported as a hole.
+TEST(ArchiveSetTest, OneRetryDeadlineCoversEveryShard) {
+  const std::string root = TestDir("one-deadline");
+  constexpr int kShards = 4;
+  {
+    auto set = ArchiveSet::Create(root, SmallSetOptions());
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    for (int i = 0; i < kShards; ++i) {
+      ASSERT_TRUE((*set)->Append("t", MakeText("alpha", 3), i * kSpan).ok());
+    }
+  }
+  // Reopened on a fault env (cold caches): every block read fails
+  // retryably, forever. The virtual clock makes backoff free in wall time.
+  FaultInjectingStorageEnv env(FaultOptions{});
+  env.AddPermanentFault("block-", StatusCode::kUnavailable);
+  MetricsRegistry registry;
+  ArchiveSetOptions options = SmallSetOptions();
+  options.archive.env = &env;
+  options.archive.metrics = &registry;
+  options.archive.retry.max_attempts = 1000;
+  auto set = ArchiveSet::Open(root, options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+
+  constexpr uint64_t kDeadlineNs = 5'000'000;
+  auto result = (*set)->Query("shared-token", {},
+                              {.deadline_ns = kDeadlineNs, .threads = 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->hits.empty());
+  EXPECT_EQ(result->shards_visited, static_cast<uint32_t>(kShards));
+  EXPECT_TRUE(result->shard_failures.empty());
+  ASSERT_EQ(result->partial.failures.size(), static_cast<size_t>(kShards));
+  EXPECT_LE(registry.GetOrCreate("storage.retry.backoff_ns")->value(),
+            kDeadlineNs);
+  EXPECT_GT(registry.GetOrCreate("storage.retry.deadline_exceeded")->value(),
+            0u);
 }
 
 TEST(ArchiveSetTest, RepairAllReinstatesAcrossShards) {

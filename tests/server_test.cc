@@ -30,6 +30,7 @@
 #include "src/server/client.h"
 #include "src/server/daemon.h"
 #include "src/store/archive_set.h"
+#include "src/store/fs_util.h"
 #include "src/store/log_archive.h"
 #include "src/store/shard_router.h"
 #include "src/store/storage_env.h"
@@ -331,6 +332,11 @@ TEST_F(ServerTest, DegradedQueryReturns206WithPartialReport) {
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].Get("seq").AsUint(), 1u);
   EXPECT_FALSE(failures[0].Get("error").AsString().empty());
+  // The hole names its block relative to the serving root.
+  EXPECT_NE(failures[0].Get("error").AsString().find("arch/block-1.lgc"),
+            std::string::npos)
+      << degraded->body;
+  EXPECT_EQ(degraded->body.find(root_), std::string::npos) << degraded->body;
 
   // ?degrade=0 flips the same query to a hard 500.
   RemoteQueryOptions no_degrade;
@@ -339,6 +345,7 @@ TEST_F(ServerTest, DegradedQueryReturns206WithPartialReport) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->http_status, 500) << strict->body;
   EXPECT_FALSE(strict->error.empty());
+  EXPECT_EQ(strict->body.find(root_), std::string::npos) << strict->body;
   EXPECT_EQ(ExitCodeForHttpStatus(strict->http_status), 1);
 }
 
@@ -392,6 +399,11 @@ TEST_F(ServerTest, BadRequestsMapOntoTheStatusContract) {
   Result<RemoteQueryResult> missing = client.Query("no-such-archive", "x");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->http_status, 404) << missing->body;
+  // The error names the archive as the client did, not the serving root.
+  EXPECT_NE(missing->error.find("no-such-archive/archive.manifest"),
+            std::string::npos)
+      << missing->body;
+  EXPECT_EQ(missing->body.find(root_), std::string::npos) << missing->body;
 
   // Escape attempts are rejected before touching the filesystem.
   for (const char* name : {"../etc", "a/../../b", "/abs/path"}) {
@@ -654,6 +666,7 @@ TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   EXPECT_EQ(failures[0].Get("shard").AsUint(), receipts[kSick].shard_id);
   EXPECT_EQ(failures[0].Get("tenant").AsString(), kFedRows[kSick].tenant);
   EXPECT_FALSE(failures[0].Get("error").AsString().empty());
+  EXPECT_EQ(degraded->body.find(root_), std::string::npos) << degraded->body;
 
   // Strict mode refuses the partial answer outright.
   RemoteQueryOptions no_degrade;
@@ -663,6 +676,51 @@ TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->http_status, 500) << strict->body;
   EXPECT_FALSE(strict->error.empty());
+}
+
+// A corrupt block inside a visited shard is a block hole, not a shard hole:
+// the set's explain render lists it under its shard, worded as a plain
+// archive's render words it, and no body names the serving root.
+TEST_F(ServerTest, FederatedExplainListsFailedBlocksOfVisitedShards) {
+  std::vector<AppendReceipt> receipts;
+  std::vector<std::vector<std::string>> row_lines;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFederatedSet(root_ + "/fedset", &receipts, &row_lines));
+  const size_t kSick = 1;
+  const std::string shard_dir =
+      ShardDirName(receipts[kSick].shard_id, kFedRows[kSick].tenant);
+  ASSERT_TRUE(WriteFileBytes(root_ + "/fedset/" + shard_dir + "/block-0.lgc",
+                             "garbage-bytes", nullptr)
+                  .ok());
+
+  LoggrepDaemon daemon(BaseOptions());
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  DaemonClient client("127.0.0.1", *port);
+  Result<RemoteQueryResult> explained = client.Explain("fedset", "shared-token");
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->http_status, 206) << explained->body;
+  ExpectHitsEqual(FedExpected(receipts, row_lines, {0, 2, 3}), explained->hits,
+                  "fedset [explain, corrupt block]");
+  EXPECT_EQ(explained->body.find(root_), std::string::npos) << explained->body;
+
+  Result<JsonValue> doc = ParseJson(explained->body);
+  ASSERT_TRUE(doc.ok()) << explained->body;
+  EXPECT_EQ(doc->Get("shards").Get("failed").AsUint(), 0u);
+  const auto& failures = doc->Get("partial").Get("failures").AsArray();
+  ASSERT_EQ(failures.size(), 1u) << explained->body;
+  const std::string& error = failures[0].Get("error").AsString();
+  EXPECT_NE(error.find("CORRUPT"), std::string::npos) << error;
+  const std::string render =
+      doc->Get("explain").Get("render").AsString();
+  const std::string shard_line =
+      "shard " + std::to_string(receipts[kSick].shard_id) + " tenant 'b': ";
+  const size_t at = render.find(shard_line);
+  ASSERT_NE(at, std::string::npos) << render;
+  const size_t next = render.find('\n', at) + 1;
+  EXPECT_EQ(render.substr(next, render.find('\n', next) + 1 - next),
+            "  block 0  [FAILED: " + error + "]\n")
+      << render;
 }
 
 // Set maintenance runs only on request: POST /compact merges, the merge is
