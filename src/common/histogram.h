@@ -39,7 +39,7 @@ struct HistogramSnapshot {
   double mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
 
   // Accumulates `other` into this snapshot (bucket-wise sum, max of max).
-  // Rolling windows merge their live slots through this.
+  // The server's telemetry windows merge through this.
   void Merge(const HistogramSnapshot& other);
 };
 

@@ -117,8 +117,8 @@ LoggrepDaemon::LoggrepDaemon(DaemonOptions options)
   }
   access_log_ = std::make_unique<AccessLog>(options_.access_log);
   service_ = std::make_unique<ArchiveService>(options_.service);
-  telemetry_ = std::make_unique<ServerTelemetry>(options_.telemetry);
-  slow_log_ = std::make_unique<SlowQueryLog>(options_.slow_log_capacity);
+  telemetry_ = std::make_unique<ServerTelemetry>();
+  slow_log_ = std::make_unique<SlowQueryLog>(kSlowLogCapacity);
   start_ns_ = Tracer::Global().NowNanos();
   // Prime the process-uptime epoch now; its first caller wins it, and that
   // should be daemon construction, not the first /healthz scrape.
@@ -135,6 +135,9 @@ LoggrepDaemon::~LoggrepDaemon() { Shutdown(); }
 Result<uint16_t> LoggrepDaemon::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Internal("daemon already running");
+  }
+  if (!access_log_->status().ok()) {
+    return access_log_->status();
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -247,7 +250,7 @@ void LoggrepDaemon::HandleConnection(int fd) {
   Histogram* request_ns =
       metrics_->GetOrCreateHistogram("server.request_ns");
 
-  HttpRequestParser parser(options_.limits);
+  HttpRequestParser parser;
   std::string pending;  // unconsumed bytes (pipelined next request)
   char buf[16 * 1024];
   uint64_t idle_ms = 0;
@@ -270,7 +273,7 @@ void LoggrepDaemon::HandleConnection(int fd) {
       if (got < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
           idle_ms += kReadPollMs;
-          if (idle_ms >= options_.idle_timeout_ms) {
+          if (idle_ms >= kIdleTimeoutMs) {
             break;
           }
           continue;
@@ -418,8 +421,8 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
     rec->shed = true;
     HttpResponse response = JsonError(
         429, "query admission limit reached; retry after backoff");
-    response.headers.emplace_back(
-        "Retry-After", std::to_string(options_.retry_after_seconds));
+    response.headers.emplace_back("Retry-After",
+                                  std::to_string(kRetryAfterSeconds));
     return response;
   }
   struct Release {

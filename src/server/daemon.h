@@ -38,8 +38,8 @@
 //
 // Status contract (single source of truth: src/server/archive_service.h):
 // 200 complete, 206 degraded (PartialReport in the body), 400 bad query,
-// 404 unknown archive, 429 over admission limit (Retry-After set), 500
-// block failure with ?degrade=0.
+// 404 unknown archive, 429 over admission limit (Retry-After:
+// kRetryAfterSeconds), 500 block failure with ?degrade=0.
 //
 // Admission control: at most `max_inflight_queries` query/explain requests
 // execute at once, enforced with an atomic gate *before* any archive work.
@@ -51,6 +51,12 @@
 // nudges idle keep-alive connections closed, lets in-flight requests finish
 // and respond with "Connection: close", and joins every worker before
 // returning — a drain, not an abort.
+//
+// DaemonOptions holds only what a deployment chooses (address, pool size,
+// admission limit, root, registry, access-log destinations, slow-query
+// threshold). The rest is fixed: the constants below, HttpLimits' defaults,
+// the telemetry windows (telemetry.h) and the access-log buffer
+// (request_log.h).
 #ifndef SRC_SERVER_DAEMON_H_
 #define SRC_SERVER_DAEMON_H_
 
@@ -71,6 +77,14 @@
 
 namespace loggrep {
 
+// A 429's Retry-After header, in seconds.
+inline constexpr unsigned kRetryAfterSeconds = 1;
+// Idle keep-alive connections are closed after this long without a request
+// byte.
+inline constexpr uint64_t kIdleTimeoutMs = 30'000;
+// Entries the slow-query log retains (oldest evicted first).
+inline constexpr size_t kSlowLogCapacity = 64;
+
 struct DaemonOptions {
   // Listening address. Port 0 binds an ephemeral port (tests/bench read the
   // real one from LoggrepDaemon::port()). Loopback by default: loggrepd has
@@ -87,34 +101,22 @@ struct DaemonOptions {
   // requests. 0 is honored literally (every query bounced 429) — tests use
   // it to pin the overload contract.
   size_t max_inflight_queries = 16;
-  // Value of the Retry-After header on 429 responses, in seconds.
-  unsigned retry_after_seconds = 1;
-
-  // Idle keep-alive connections are closed after this long without a
-  // request byte.
-  uint64_t idle_timeout_ms = 30'000;
 
   // Serving root + per-archive options (metrics/env/cache budget/retry).
   ServiceOptions service;
-
-  HttpLimits limits;
 
   // Registry for "server.*" counters and the /metrics endpoint. Borrowed;
   // null = daemon-private registry.
   MetricsRegistry* metrics = nullptr;
 
-  // Rolling-window geometry + SLO targets for /metrics gauges + /statusz.
-  TelemetryOptions telemetry;
-
-  // Access log destination + ring sizing. Always on (the in-memory ring is
-  // cheap); set `access_log.path` to persist JSON lines to a file.
+  // Access log destinations. Always on (the in-memory buffer is cheap); set
+  // `access_log.path` to persist JSON lines to a file. Start() fails on a
+  // path that cannot be opened.
   AccessLogOptions access_log;
 
   // Queries at least this slow get their explain fate tree captured into
   // the slow-query log (GET /debug/slow). 0 disables capture.
   uint64_t slow_query_threshold_ns = 1'000'000'000ull;  // 1 s
-  // Entries the slow-query log retains (oldest evicted first).
-  size_t slow_log_capacity = 64;
 };
 
 class LoggrepDaemon {
@@ -125,7 +127,8 @@ class LoggrepDaemon {
   LoggrepDaemon(const LoggrepDaemon&) = delete;
   LoggrepDaemon& operator=(const LoggrepDaemon&) = delete;
 
-  // Binds, listens and starts the accept loop. Returns the bound port.
+  // Binds, listens and starts the accept loop. Returns the bound port, or
+  // the access log's IOError when its path could not be opened.
   Result<uint16_t> Start();
 
   // Graceful drain (see file comment). Idempotent; safe from any thread

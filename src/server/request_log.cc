@@ -2,92 +2,29 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
+#include "src/common/hash.h"
 #include "src/common/json.h"
 
 namespace loggrep {
-
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 2;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// LogLineRing
-// ---------------------------------------------------------------------------
-
-LogLineRing::LogLineRing(size_t capacity)
-    : cells_(RoundUpPow2(capacity < 2 ? 2 : capacity)),
-      mask_(cells_.size() - 1) {
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-bool LogLineRing::TryPush(std::string&& line) {
-  uint64_t pos = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const int64_t dif = static_cast<int64_t>(seq) - static_cast<int64_t>(pos);
-    if (dif == 0) {
-      if (head_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        cell.line = std::move(line);
-        cell.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-      // CAS refreshed `pos`; retry with the new claim point.
-    } else if (dif < 0) {
-      return false;  // full: the consumer has not recycled this cell yet
-    } else {
-      pos = head_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool LogLineRing::TryPop(std::string* out) {
-  uint64_t pos = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const int64_t dif =
-        static_cast<int64_t>(seq) - static_cast<int64_t>(pos + 1);
-    if (dif == 0) {
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        *out = std::move(cell.line);
-        cell.line.clear();
-        cell.seq.store(pos + cells_.size(), std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // AccessLog
 // ---------------------------------------------------------------------------
 
 AccessLog::AccessLog(AccessLogOptions options)
-    : options_(std::move(options)), ring_(options_.ring_capacity) {
+    : options_(std::move(options)) {
   if (!options_.path.empty()) {
     file_ = std::fopen(options_.path.c_str(), "a");
-    // A path that cannot be opened degrades to sink-only (counted lines
-    // still flow); the daemon reports the failure at startup.
+    if (file_ == nullptr) {
+      // Counted lines still reach the sink; the daemon refuses to start.
+      status_ = IOError("access log " + options_.path + ": " +
+                        std::strerror(errno));
+    }
   }
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
@@ -105,38 +42,42 @@ AccessLog::~AccessLog() {
 
 void AccessLog::Write(std::string&& line) {
   line.push_back('\n');
-  if (ring_.TryPush(std::move(line))) {
-    written_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.size() < kAccessLogCapacity) {
+      pending_.push_back(std::move(line));
+      written_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
   }
+  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
-size_t AccessLog::DrainOnce() {
-  size_t drained = 0;
-  std::string line;
-  while (ring_.TryPop(&line)) {
+void AccessLog::DrainOnce() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_.swap(pending_);
+  }
+  for (const std::string& line : draining_) {
     if (file_ != nullptr) {
       std::fwrite(line.data(), 1, line.size(), file_);
     }
     if (options_.sink) {
       options_.sink(line);
     }
-    ++drained;
   }
-  if (drained > 0 && file_ != nullptr) {
+  if (!draining_.empty() && file_ != nullptr) {
     std::fflush(file_);
   }
-  flushed_.fetch_add(drained, std::memory_order_release);
-  return drained;
+  flushed_.fetch_add(draining_.size(), std::memory_order_release);
+  draining_.clear();
 }
 
 void AccessLog::FlusherLoop() {
-  const auto interval = std::chrono::milliseconds(
-      options_.flush_interval_ms == 0 ? 1 : options_.flush_interval_ms);
   while (!stopping_.load(std::memory_order_acquire)) {
     DrainOnce();
-    std::this_thread::sleep_for(interval);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(kAccessLogFlushIntervalMs));
   }
 }
 
@@ -218,14 +159,7 @@ uint64_t SlowQueryLog::captured() const {
 // Request ids
 // ---------------------------------------------------------------------------
 
-uint64_t RequestIdHash(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+uint64_t RequestIdHash(std::string_view s) { return Fnv1a64(s); }
 
 std::string GenerateRequestId() {
   // splitmix64 over (per-process random base + counter): unique in-process,

@@ -1,16 +1,16 @@
 // Per-request logging for loggrepd: a structured JSON-lines access log
-// behind a lock-free writer, and a bounded slow-query log that keeps the
-// explain fate tree of the worst offenders.
+// written by a background flusher, and a bounded slow-query log that keeps
+// the explain fate tree of the worst offenders.
 //
 // Access log design: request handlers must never block on log I/O — a slow
 // disk under the access log must not become tail latency for every tenant.
-// Producers therefore format their line and push it into a bounded
-// Vyukov-style MPMC ring (one CAS + one release store per push, no mutex);
-// a dedicated flusher thread drains the ring to the sink every few
-// milliseconds. When the ring is full the line is *dropped and counted*
-// (`dropped()` / the server.access_log_dropped counter), never queued
-// unboundedly and never waited for — the same shed-don't-queue stance as
-// admission control.
+// Producers therefore format their line and append it, under a mutex held
+// only for the append, to a buffer of at most kAccessLogCapacity lines; a
+// dedicated flusher thread swaps the buffer out every
+// kAccessLogFlushIntervalMs and writes it to the sinks outside the lock.
+// When the buffer is full the line is *dropped and counted* (`dropped()` /
+// the loggrep_access_log_dropped gauge), never queued unboundedly and never
+// waited for — the same shed-don't-queue stance as admission control.
 //
 // One line per request, one JSON object per line (jq-able), e.g.:
 //   {"ts_ms":123,"rid":"5f3a...","rid64":123456,"method":"POST",
@@ -35,49 +35,22 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/common/result.h"
+
 namespace loggrep {
 
-// Bounded lock-free ring of formatted lines (Vyukov MPMC sequence scheme,
-// used MPSC here: many request handlers push, one flusher pops).
-class LogLineRing {
- public:
-  // `capacity` is rounded up to a power of two, minimum 2.
-  explicit LogLineRing(size_t capacity);
-
-  LogLineRing(const LogLineRing&) = delete;
-  LogLineRing& operator=(const LogLineRing&) = delete;
-
-  // Lock-free; returns false (and leaves `line` untouched) when full.
-  bool TryPush(std::string&& line);
-  // Single-consumer pop; returns false when empty.
-  bool TryPop(std::string* out);
-
-  size_t capacity() const { return cells_.size(); }
-
- private:
-  struct Cell {
-    std::atomic<uint64_t> seq;
-    std::string line;
-  };
-
-  std::vector<Cell> cells_;
-  size_t mask_;
-  alignas(64) std::atomic<uint64_t> head_{0};  // producers
-  alignas(64) std::atomic<uint64_t> tail_{0};  // consumer
-};
+// Lines buffered between two flushes; a Write beyond them is dropped.
+inline constexpr size_t kAccessLogCapacity = 4096;
+// How often the flusher writes the buffered lines to the sinks.
+inline constexpr uint64_t kAccessLogFlushIntervalMs = 20;
 
 struct AccessLogOptions {
-  // Ring capacity in lines; pushes beyond it are dropped and counted.
-  size_t ring_capacity = 4096;
-  // Flusher wake interval.
-  uint64_t flush_interval_ms = 20;
   // Destination file ("" = no file; a sink function may still be set).
   std::string path;
   // Optional extra sink (tests, /debug endpoints). Called from the flusher
@@ -93,8 +66,12 @@ class AccessLog {
   AccessLog(const AccessLog&) = delete;
   AccessLog& operator=(const AccessLog&) = delete;
 
-  // Lock-free append of one line (a complete JSON object, no trailing
-  // newline — Write adds it). Dropped (and counted) when the ring is full.
+  // IOError naming `path` when it could not be opened for appending (the
+  // log then reaches the sink only); OK otherwise.
+  const Status& status() const { return status_; }
+
+  // Appends one line (a complete JSON object, no trailing newline — Write
+  // adds it). Dropped (and counted) when kAccessLogCapacity lines wait.
   void Write(std::string&& line);
 
   // Blocks until every line written before the call has reached the sinks
@@ -110,14 +87,18 @@ class AccessLog {
 
  private:
   void FlusherLoop();
-  // Drains the ring to the sinks; returns lines drained.
-  size_t DrainOnce();
+  // Writes the buffered lines to the sinks. Called by the flusher thread,
+  // and by the destructor once that thread has stopped.
+  void DrainOnce();
 
   AccessLogOptions options_;
-  LogLineRing ring_;
   std::FILE* file_ = nullptr;
+  Status status_;
+  std::mutex mu_;
+  std::vector<std::string> pending_;  // guarded by mu_
+  std::vector<std::string> draining_;  // the flusher's swapped-out batch
   std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> written_{0};   // pushed successfully
+  std::atomic<uint64_t> written_{0};   // accepted into pending_
   std::atomic<uint64_t> flushed_{0};   // drained to sinks
   std::atomic<bool> stopping_{false};
   std::thread flusher_;

@@ -1,5 +1,6 @@
 #include "src/server/telemetry.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -9,59 +10,65 @@
 
 namespace loggrep {
 
-ServerTelemetry::ServerTelemetry(TelemetryOptions options)
-    : options_(options),
-      latency_(options_.num_windows, options_.window_ns),
-      requests_(options_.num_windows, options_.window_ns),
-      errors_5xx_(options_.num_windows, options_.window_ns),
-      shed_429_(options_.num_windows, options_.window_ns),
-      degraded_206_(options_.num_windows, options_.window_ns),
-      over_latency_slo_(options_.num_windows, options_.window_ns) {}
-
 void ServerTelemetry::RecordRequest(int status, uint64_t latency_ns,
                                     uint64_t now_ns) {
-  requests_.Increment(now_ns);
-  latency_.Record(latency_ns, now_ns);
-  if (status >= 500) {
-    errors_5xx_.Increment(now_ns);
+  const uint64_t w = now_ns / kTelemetryWindowNs;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (w > newest_) {
+    newest_ = w;
   }
-  if (status == 429) {
-    shed_429_.Increment(now_ns);
+  Window& win = windows_[newest_ % kTelemetryWindows];
+  if (win.index != newest_) {
+    win = Window{};  // recycle the slot of an expired window
+    win.index = newest_;
   }
-  if (status == 206) {
-    degraded_206_.Increment(now_ns);
-  }
-  if (latency_ns > options_.latency_slo_ns) {
-    over_latency_slo_.Increment(now_ns);
-  }
+  win.latency.buckets[Histogram::BucketFor(latency_ns)]++;
+  win.latency.count++;
+  win.latency.sum += latency_ns;
+  win.latency.max = std::max(win.latency.max, latency_ns);
+  win.requests++;
+  win.errors_5xx += status >= 500 ? 1 : 0;
+  win.shed_429 += status == 429 ? 1 : 0;
+  win.degraded_206 += status == 206 ? 1 : 0;
+  win.over_latency_slo += latency_ns > kLatencySloNs ? 1 : 0;
 }
 
 WindowedStats ServerTelemetry::Compute(uint64_t now_ns) const {
+  const uint64_t current = now_ns / kTelemetryWindowNs;
+  const uint64_t oldest = current >= kTelemetryWindows - 1
+                              ? current - (kTelemetryWindows - 1)
+                              : 0;
+  Window sum;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Window& win : windows_) {
+      if (win.index < oldest || win.index > current) {
+        continue;  // expired, or after `now_ns` (an unused slot included)
+      }
+      sum.latency.Merge(win.latency);
+      sum.requests += win.requests;
+      sum.errors_5xx += win.errors_5xx;
+      sum.shed_429 += win.shed_429;
+      sum.degraded_206 += win.degraded_206;
+      sum.over_latency_slo += win.over_latency_slo;
+    }
+  }
   WindowedStats stats;
-  stats.requests = requests_.WindowedSum(now_ns);
-  const HistogramSnapshot lat = latency_.WindowedSnapshot(now_ns);
-  stats.p50_ns = lat.p50();
-  stats.p99_ns = lat.p99();
-  stats.p999_ns = lat.p999();
+  stats.requests = sum.requests;
+  stats.p50_ns = sum.latency.p50();
+  stats.p99_ns = sum.latency.p99();
+  stats.p999_ns = sum.latency.p999();
   if (stats.requests == 0) {
     return stats;
   }
   const double n = static_cast<double>(stats.requests);
-  stats.error_rate =
-      static_cast<double>(errors_5xx_.WindowedSum(now_ns)) / n;
-  stats.shed_rate = static_cast<double>(shed_429_.WindowedSum(now_ns)) / n;
-  stats.degraded_rate =
-      static_cast<double>(degraded_206_.WindowedSum(now_ns)) / n;
-  stats.over_latency_slo_rate =
-      static_cast<double>(over_latency_slo_.WindowedSum(now_ns)) / n;
-  const double availability_budget = 1.0 - options_.availability_slo;
-  if (availability_budget > 0) {
-    stats.availability_burn_rate = stats.error_rate / availability_budget;
-  }
-  const double latency_budget = 1.0 - options_.latency_slo_quantile;
-  if (latency_budget > 0) {
-    stats.latency_burn_rate = stats.over_latency_slo_rate / latency_budget;
-  }
+  stats.error_rate = static_cast<double>(sum.errors_5xx) / n;
+  stats.shed_rate = static_cast<double>(sum.shed_429) / n;
+  stats.degraded_rate = static_cast<double>(sum.degraded_206) / n;
+  stats.over_latency_slo_rate = static_cast<double>(sum.over_latency_slo) / n;
+  stats.availability_burn_rate = stats.error_rate / (1.0 - kAvailabilitySlo);
+  stats.latency_burn_rate =
+      stats.over_latency_slo_rate / (1.0 - kLatencySloQuantile);
   return stats;
 }
 
@@ -89,9 +96,8 @@ void ServerTelemetry::AppendWindowedMetrics(std::string* out,
 std::string RenderStatusz(const ServerTelemetry& telemetry,
                           const StatuszInfo& info, uint64_t now_ns) {
   const WindowedStats stats = telemetry.Compute(now_ns);
-  const TelemetryOptions& opts = telemetry.options();
   const double horizon_s =
-      static_cast<double>(opts.window_ns) * opts.num_windows / 1e9;
+      static_cast<double>(kTelemetryWindowNs) * kTelemetryWindows / 1e9;
   char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
@@ -133,9 +139,9 @@ std::string RenderStatusz(const ServerTelemetry& telemetry,
       stats.requests, static_cast<double>(stats.p50_ns) / 1e6,
       static_cast<double>(stats.p99_ns) / 1e6,
       static_cast<double>(stats.p999_ns) / 1e6, stats.error_rate,
-      stats.shed_rate, stats.degraded_rate, opts.availability_slo * 100.0,
-      stats.availability_burn_rate, opts.latency_slo_quantile * 100.0,
-      static_cast<double>(opts.latency_slo_ns) / 1e6,
+      stats.shed_rate, stats.degraded_rate, kAvailabilitySlo * 100.0,
+      stats.availability_burn_rate, kLatencySloQuantile * 100.0,
+      static_cast<double>(kLatencySloNs) / 1e6,
       stats.latency_burn_rate);
   std::string page(buf);
   if (info.sets_open > 0) {

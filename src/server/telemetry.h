@@ -1,45 +1,43 @@
-// Service-level telemetry for loggrepd: rolling-window latency/error/shed/
+// Service-level telemetry for loggrepd: windowed latency/error/shed/
 // degraded tracking, SLO burn-rate gauges, and the /statusz rendering.
 //
-// The cumulative registry (PR 3) answers "what happened since boot"; this
-// layer answers "is the service healthy *right now*": every request is
-// recorded into RollingHistogram/RollingCounter rings (src/common), and the
-// merged view over the ring's horizon feeds
+// The cumulative registry answers "what happened since boot"; this layer
+// answers "is the service healthy *right now*". Every finished request is
+// recorded once, under one mutex, into a fixed ring of kTelemetryWindows
+// windows of kTelemetryWindowNs each (a one-minute horizon at 2 s
+// granularity). The merged view over the horizon feeds
 //   * windowed p50/p99/p999 + error/shed/degraded-rate gauges on /metrics,
 //   * SLO burn rates — the ratio of the observed bad-event rate to the
 //     rate the SLO budget allows (burn 1.0 = exactly consuming the budget;
 //     >1 = on track to violate; the standard multi-window alerting input):
-//       availability burn = (5xx fraction)           / (1 - availability_slo)
-//       latency burn      = (fraction over slo_ns)   / (1 - latency_slo_quantile)
+//       availability burn = (5xx fraction)              / (1 - kAvailabilitySlo)
+//       latency burn      = (fraction over kLatencySloNs) / (1 - kLatencySloQuantile)
 //   * the human-readable GET /statusz page.
 //
-// All clocking is explicit nanoseconds from the caller (the daemon passes
-// Tracer::Global().NowNanos(); tests pass a virtual clock).
+// Windowed totals are exact: a record whose clock reads behind the newest
+// window counts in the newest window instead of being dropped or reviving
+// an expired one. All clocking is explicit nanoseconds from the caller (the
+// daemon passes Tracer::Global().NowNanos(); tests pass a virtual clock).
 #ifndef SRC_SERVER_TELEMETRY_H_
 #define SRC_SERVER_TELEMETRY_H_
 
+#include <array>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
-#include "src/common/rolling_histogram.h"
+#include "src/common/histogram.h"
 
 namespace loggrep {
 
-struct TelemetryOptions {
-  // Rolling ring geometry: `num_windows` windows of `window_ns` each.
-  // Default: 30 windows x 2 s = a one-minute rolling horizon with 2 s
-  // rotation granularity.
-  uint64_t window_ns = 2'000'000'000ull;
-  size_t num_windows = 30;
-
-  // Latency SLO: `latency_slo_quantile` of requests must finish within
-  // `latency_slo_ns`.
-  uint64_t latency_slo_ns = 250'000'000ull;  // 250 ms
-  double latency_slo_quantile = 0.99;
-
-  // Availability SLO: fraction of requests that must not be 5xx.
-  double availability_slo = 0.999;
-};
+// Window geometry: kTelemetryWindows windows of kTelemetryWindowNs each.
+inline constexpr uint64_t kTelemetryWindowNs = 2'000'000'000ull;  // 2 s
+inline constexpr size_t kTelemetryWindows = 30;
+// Latency SLO: kLatencySloQuantile of requests finish within kLatencySloNs.
+inline constexpr uint64_t kLatencySloNs = 250'000'000ull;  // 250 ms
+inline constexpr double kLatencySloQuantile = 0.99;
+// Availability SLO: the fraction of requests that must not be 5xx.
+inline constexpr double kAvailabilitySlo = 0.999;
 
 // Point-in-time windowed view (all rates in [0,1]).
 struct WindowedStats {
@@ -57,28 +55,34 @@ struct WindowedStats {
 
 class ServerTelemetry {
  public:
-  explicit ServerTelemetry(TelemetryOptions options);
-
   // Records one finished request. `status` is the HTTP status sent;
-  // `latency_ns` covers parse-to-serialize. Lock-free.
+  // `latency_ns` covers parse-to-serialize.
   void RecordRequest(int status, uint64_t latency_ns, uint64_t now_ns);
 
+  // Merges every window inside the horizon ending at `now_ns` (the current
+  // partial window included; windows after `now_ns` excluded).
   WindowedStats Compute(uint64_t now_ns) const;
 
   // Appends the windowed gauges in Prometheus exposition format
   // (loggrep_window_* / loggrep_slo_*). Values are computed at `now_ns`.
   void AppendWindowedMetrics(std::string* out, uint64_t now_ns) const;
 
-  const TelemetryOptions& options() const { return options_; }
-
  private:
-  TelemetryOptions options_;
-  RollingHistogram latency_;
-  RollingCounter requests_;
-  RollingCounter errors_5xx_;
-  RollingCounter shed_429_;
-  RollingCounter degraded_206_;
-  RollingCounter over_latency_slo_;
+  struct Window {
+    // now_ns / kTelemetryWindowNs of its records; an unused slot's index lies
+    // after every clock, so reads skip it.
+    uint64_t index = UINT64_MAX;
+    HistogramSnapshot latency;
+    uint64_t requests = 0;
+    uint64_t errors_5xx = 0;
+    uint64_t shed_429 = 0;
+    uint64_t degraded_206 = 0;
+    uint64_t over_latency_slo = 0;
+  };
+
+  mutable std::mutex mu_;
+  std::array<Window, kTelemetryWindows> windows_;  // window w in slot w % N
+  uint64_t newest_ = 0;  // highest window index recorded so far
 };
 
 // Everything /statusz shows beyond the windowed stats; the daemon fills

@@ -129,10 +129,9 @@ const char* CommitKillPointName(CommitKillPoint point) {
 }
 
 uint64_t HashBlockContent(std::string_view text) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
+  uint64_t h = kFnv1a64Offset;
   for (std::string_view line : SplitLines(text)) {
-    h = Fnv1a64(line, h);
-    h = Fnv1a64("\n", h);
+    h = Fnv1a64Line(h, line);
   }
   return h;
 }
@@ -144,11 +143,10 @@ BlockInfo BuildBlockSummary(std::string_view text) {
   // roughly one shingle per 4 raw bytes.
   block.shingles = BloomFilter(std::max<uint64_t>(1024, text.size() / 4),
                                kBloomBitsPerShingle);
-  uint64_t h = 0xCBF29CE484222325ULL;
+  uint64_t h = kFnv1a64Offset;
   for (std::string_view line : SplitLines(text)) {
     ++block.line_count;
-    h = Fnv1a64(line, h);
-    h = Fnv1a64("\n", h);
+    h = Fnv1a64Line(h, line);
     for (std::string_view token : TokenizeKeywords(line)) {
       block.token_stamp.Absorb(token);
       AddTokenShingles(token, block.shingles);

@@ -85,9 +85,9 @@ struct BlockInfo {
   BloomFilter shingles;      // 4-byte substrings of every token
 };
 
-// Chained content hash used for BlockInfo::content_hash: FNV-1a absorbed
-// over each line followed by one '\n' byte. Exposed so the verifier can
-// recompute it from reconstructed lines.
+// Chained content hash used for BlockInfo::content_hash: Fnv1a64Line over
+// each line, from kFnv1a64Offset. Exposed so the verifier can recompute it
+// from reconstructed lines.
 uint64_t HashBlockContent(std::string_view text);
 
 // Parses serialized manifest bytes into block summaries. Exposed separately

@@ -119,12 +119,9 @@ Result<std::vector<std::string>> ReconstructAllLines(
 }
 
 uint64_t HashReconstructedLines(const std::vector<std::string>& lines) {
-  // Mirrors HashBlockContent: absorb each line, then one '\n' byte. Lines
-  // never contain '\n', so the chaining is unambiguous.
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
+  uint64_t h = kFnv1a64Offset;
   for (const std::string& line : lines) {
-    h = Fnv1a64(line, h);
-    h = Fnv1a64("\n", h);
+    h = Fnv1a64Line(h, line);
   }
   return h;
 }

@@ -138,6 +138,11 @@ expect_rc 2 serve set 0 2 8x
 expect_rc 2 serve set 70000
 expect_rc 2 --slow-ms=5s serve set 0 2
 expect_rc 2 --slow-ms=18446744073710 serve set 0 2  # ns would wrap
+# An access log that cannot be opened stops serve before it listens.
+expect_rc 1 serve set 0 2 --access-log=no-such-dir/access.log
+grep -q 'no-such-dir/access.log' err.txt ||
+  fail "serve did not name the unopenable access log: $(cat err.txt)"
+grep -q 'listening' out.txt && fail "serve listened without its access log"
 expect_rc 2 ingest arch2 a.log 2x
 expect_rc 2 ingest arch2 a.log 1 2x
 expect_rc 2 ingest arch2 a.log 17592186044417  # << 20 would wrap to 1 MiB

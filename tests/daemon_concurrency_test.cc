@@ -299,7 +299,6 @@ TEST_F(DaemonConcurrencyTest, OverloadBounces429AndRetriesStillConverge) {
   options.service.archive.engine.box_cache_budget_bytes = 0;
   options.service.archive.engine.use_cache = false;
   options.max_inflight_queries = 1;
-  options.retry_after_seconds = 1;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();

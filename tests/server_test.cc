@@ -744,7 +744,6 @@ TEST_F(ServerTest, ServedSetCompactionIsCountedOnStatuszAndMetrics) {
   std::mutex log_mu;
   std::vector<std::string> log_lines;
   DaemonOptions options = BaseOptions();
-  options.access_log.flush_interval_ms = 1;
   options.access_log.sink = [&](std::string_view line) {
     std::lock_guard<std::mutex> lock(log_mu);
     log_lines.emplace_back(line);
@@ -955,7 +954,6 @@ TEST_F(ServerTest, AdmissionControlShedsLoadWith429) {
   // 0 is honored literally: every query bounces. This pins the overload
   // path deterministically (no timing games).
   options.max_inflight_queries = 0;
-  options.retry_after_seconds = 7;
   LoggrepDaemon daemon(options);
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
@@ -965,7 +963,8 @@ TEST_F(ServerTest, AdmissionControlShedsLoadWith429) {
       client.Get("/query?archive=arch&q=" + UrlEncode("x"));
   ASSERT_TRUE(bounced.ok()) << bounced.status().ToString();
   EXPECT_EQ(bounced->status, 429);
-  EXPECT_EQ(bounced->headers.at("retry-after"), "7");
+  EXPECT_EQ(bounced->headers.at("retry-after"),
+            std::to_string(kRetryAfterSeconds));
 
   // Health and metrics stay reachable under overload — admission control
   // only covers query execution.
@@ -974,6 +973,21 @@ TEST_F(ServerTest, AdmissionControlShedsLoadWith429) {
   EXPECT_EQ(health->status, 200);
   EXPECT_GT(
       daemon.metrics().GetOrCreate("server.admission_rejects")->value(), 0u);
+}
+
+// An access log that cannot be written is a startup failure naming the
+// path, not a daemon that serves with no log and no warning.
+TEST_F(ServerTest, UnopenableAccessLogPathFailsStart) {
+  DaemonOptions options = BaseOptions();
+  options.access_log.path = root_ + "/no-such-dir/access.log";
+  LoggrepDaemon daemon(options);
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_FALSE(port.ok()) << "started on port " << *port;
+  EXPECT_EQ(port.status().code(), StatusCode::kIOError);
+  EXPECT_NE(port.status().message().find(options.access_log.path),
+            std::string::npos)
+      << port.status().ToString();
+  EXPECT_FALSE(daemon.running());
 }
 
 TEST_F(ServerTest, KeepAliveReusesOneConnection) {

@@ -1,8 +1,9 @@
 // Service-level observability tests: request-id propagation/minting, the
-// lock-free access log (JSON well-formedness under concurrent keep-alive
-// load), slow-query capture + /debug/slow, windowed SLO telemetry, and the
-// /statusz + /metrics + build-info surfaces.
+// access log (JSON well-formedness under concurrent keep-alive load, the
+// drop-and-count rule), slow-query capture + /debug/slow, windowed SLO
+// telemetry, and the /statusz + /metrics + build-info surfaces.
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -49,37 +50,20 @@ TEST(RequestIdTest, HashIsStableFnv1a) {
   EXPECT_NE(RequestIdHash("abc"), RequestIdHash("abd"));
 }
 
-// ---- log line ring + access log -------------------------------------------
-
-TEST(LogLineRingTest, PushPopFifoAndFullBehavior) {
-  LogLineRing ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.TryPush("line" + std::to_string(i)));
-  }
-  std::string overflow = "overflow";
-  EXPECT_FALSE(ring.TryPush(std::move(overflow)));
-  EXPECT_EQ(overflow, "overflow");  // full push leaves the line untouched
-  std::string out;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out, "line" + std::to_string(i));
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
-}
+// ---- access log ------------------------------------------------------------
 
 TEST(AccessLogTest, ConcurrentWritersEveryLineIsWellFormed) {
   std::mutex mu;
   std::vector<std::string> captured;
   AccessLogOptions options;
-  options.ring_capacity = 1 << 14;  // big enough that nothing drops
-  options.flush_interval_ms = 1;
   options.sink = [&](std::string_view line) {
     std::lock_guard<std::mutex> lock(mu);
     captured.emplace_back(line);
   };
   constexpr size_t kThreads = 4;
-  constexpr size_t kPerThread = 2'000;
+  constexpr size_t kPerThread = 1'000;
+  static_assert(kThreads * kPerThread <= kAccessLogCapacity,
+                "nothing may drop, however late the flusher runs");
   {
     AccessLog log(options);
     std::vector<std::thread> writers;
@@ -113,16 +97,45 @@ TEST(AccessLogTest, ConcurrentWritersEveryLineIsWellFormed) {
   }
 }
 
-TEST(AccessLogTest, FullRingDropsAndCounts) {
+// With the sink parked on its first line, the flusher takes no more lines:
+// the buffer holds exactly kAccessLogCapacity, and each Write beyond that is
+// dropped and counted, never waited for.
+TEST(AccessLogTest, FullBufferDropsAndCountsTheExcess) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  size_t sunk = 0;
   AccessLogOptions options;
-  options.ring_capacity = 4;
-  options.flush_interval_ms = 10'000;  // flusher effectively asleep
+  options.sink = [&](std::string_view) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++sunk;
+    if (!parked) {
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    }
+  };
+  constexpr size_t kExcess = 64;
   AccessLog log(options);
-  for (int i = 0; i < 64; ++i) {
+  log.Write("{\"park\":true}");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  for (size_t i = 0; i < kAccessLogCapacity + kExcess; ++i) {
     log.Write("{\"i\":" + std::to_string(i) + "}");
   }
-  EXPECT_GT(log.dropped(), 0u);
-  EXPECT_EQ(log.written() + log.dropped(), 64u);
+  EXPECT_EQ(log.dropped(), kExcess);
+  EXPECT_EQ(log.written(), 1 + kAccessLogCapacity);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  log.Flush();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(sunk, 1 + kAccessLogCapacity);
 }
 
 // ---- slow-query log --------------------------------------------------------
@@ -149,17 +162,133 @@ TEST(SlowQueryLogTest, BoundedNewestFirst) {
 }
 
 // ---- windowed telemetry ----------------------------------------------------
+//
+// A virtual clock drives the fixed geometry: window w covers
+// [w * kWindow, (w + 1) * kWindow) and the horizon is the kWindows windows
+// ending at the current one.
+
+constexpr uint64_t kWindow = kTelemetryWindowNs;
+constexpr uint64_t kWindows = kTelemetryWindows;
+
+TEST(ServerTelemetryTest, SingleWindowAccumulates) {
+  ServerTelemetry telemetry;
+  telemetry.RecordRequest(200, 10, 100);
+  telemetry.RecordRequest(200, 20, kWindow / 2);
+  telemetry.RecordRequest(200, 30, kWindow - 1);
+  const WindowedStats stats = telemetry.Compute(kWindow - 1);
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_GT(stats.p50_ns, 10u);
+  EXPECT_EQ(stats.p999_ns, 30u);  // clamped to the window's max
+}
+
+TEST(ServerTelemetryTest, RotationAtExactBoundary) {
+  ServerTelemetry telemetry;
+  telemetry.RecordRequest(200, 1, kWindow - 1);  // window 0, last ns
+  telemetry.RecordRequest(500, 2, kWindow);      // window 1, first ns
+  // Both windows are inside the horizon.
+  EXPECT_EQ(telemetry.Compute(kWindow).requests, 2u);
+  EXPECT_EQ(telemetry.Compute(kWindow - 1).requests, 1u);  // window 1 is ahead
+  // At window kWindows the horizon is windows 1..kWindows: only the
+  // window-1 record (the 500) stays.
+  const WindowedStats later = telemetry.Compute(kWindows * kWindow);
+  EXPECT_EQ(later.requests, 1u);
+  EXPECT_DOUBLE_EQ(later.error_rate, 1.0);
+  EXPECT_EQ(later.p50_ns, 2u);
+}
+
+TEST(ServerTelemetryTest, OldWindowsExpireAfterAQuietPeriod) {
+  ServerTelemetry telemetry;
+  telemetry.RecordRequest(200, 5, 0);  // window 0
+  // Window 0 is outside the horizon even before any record reuses its slot.
+  EXPECT_EQ(telemetry.Compute(kWindows * kWindow).requests, 0u);
+  // A quiet period truly empties the view (not "latest non-empty window").
+  telemetry.RecordRequest(200, 7, kWindows * kWindow);
+  EXPECT_EQ(telemetry.Compute(kWindows * kWindow).requests, 1u);
+  EXPECT_EQ(telemetry.Compute((2 * kWindows - 1) * kWindow).requests, 1u);
+  EXPECT_EQ(telemetry.Compute(2 * kWindows * kWindow).requests, 0u);
+}
+
+TEST(ServerTelemetryTest, CountsRollOffOneWindowAtATime) {
+  ServerTelemetry telemetry;
+  const uint64_t per_window[] = {5, 8, 1};  // windows 0, 1, 2
+  for (uint64_t w = 0; w < 3; ++w) {
+    for (uint64_t i = 0; i < per_window[w]; ++i) {
+      telemetry.RecordRequest(200, 1, w * kWindow);
+    }
+  }
+  EXPECT_EQ(telemetry.Compute((kWindows - 1) * kWindow).requests, 14u);
+  EXPECT_EQ(telemetry.Compute(kWindows * kWindow).requests, 9u);
+  EXPECT_EQ(telemetry.Compute((kWindows + 1) * kWindow).requests, 1u);
+  EXPECT_EQ(telemetry.Compute((kWindows + 2) * kWindow).requests, 0u);
+}
+
+TEST(ServerTelemetryTest, SlotRecyclingResetsOldData) {
+  ServerTelemetry telemetry;
+  telemetry.RecordRequest(500, 100, 0);        // window 0 -> slot 0
+  telemetry.RecordRequest(200, 200, kWindow);  // window 1 -> slot 1
+  telemetry.RecordRequest(200, 300, kWindows * kWindow);  // slot 0 recycled
+  // The horizon covers windows 1..kWindows; window 0's 500 must be gone
+  // even though its slot was just reused.
+  const WindowedStats stats = telemetry.Compute(kWindows * kWindow);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_DOUBLE_EQ(stats.error_rate, 0.0);
+  EXPECT_EQ(stats.p999_ns, 300u);
+}
+
+TEST(ServerTelemetryTest, BehindClockRecordCountsInTheNewestWindow) {
+  ServerTelemetry telemetry;
+  telemetry.RecordRequest(200, 1, 10 * kWindow);  // window 10
+  // A thread with a stale clock reading records into window 6. It counts in
+  // window 10 rather than reviving or recycling an older window.
+  telemetry.RecordRequest(500, 2, 6 * kWindow);
+  EXPECT_EQ(telemetry.Compute(10 * kWindow).requests, 2u);
+  // Window 6 has left the horizon here; the record is still counted.
+  const WindowedStats stats = telemetry.Compute((6 + kWindows) * kWindow);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_DOUBLE_EQ(stats.error_rate, 0.5);
+  EXPECT_EQ(telemetry.Compute((10 + kWindows) * kWindow).requests, 0u);
+}
+
+// Writers race across window boundaries (each thread's clock runs through
+// kRotations windows, so the threads are often behind one another) while a
+// reader computes continuously. Every record lands in some window inside
+// the horizon, so the total is exact.
+TEST(ServerTelemetryTest, ConcurrentRecordsAcrossWindowsAreConserved) {
+  constexpr size_t kThreads = 4;
+  constexpr uint64_t kRecordsPerThread = 20'000;
+  constexpr uint64_t kRotations = 16;
+  static_assert(kRotations < kWindows, "every window stays in the horizon");
+  ServerTelemetry telemetry;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&telemetry, t] {
+      for (uint64_t i = 0; i < kRecordsPerThread; ++i) {
+        const uint64_t window = i * kRotations / kRecordsPerThread;
+        telemetry.RecordRequest(t == 0 ? 500 : 200, i, window * kWindow + t);
+      }
+    });
+  }
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const WindowedStats stats = telemetry.Compute(kRotations * kWindow);
+      ASSERT_LE(stats.requests, kThreads * kRecordsPerThread);
+    }
+  });
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const WindowedStats stats = telemetry.Compute(kRotations * kWindow);
+  EXPECT_EQ(stats.requests, kThreads * kRecordsPerThread);
+  EXPECT_DOUBLE_EQ(stats.error_rate, 1.0 / kThreads);
+}
 
 TEST(ServerTelemetryTest, WindowedRatesAndBurn) {
-  TelemetryOptions options;
-  options.window_ns = 1'000;
-  options.num_windows = 4;
-  options.latency_slo_ns = 100;
-  options.latency_slo_quantile = 0.99;
-  options.availability_slo = 0.999;
-  ServerTelemetry telemetry(options);
-
-  // 8 requests in window 0: one 500, one 429, two 206, one over-SLO.
+  ServerTelemetry telemetry;
+  // 8 requests in window 0: one 500, one 429, two 206, one over the SLO.
   uint64_t now = 10;
   for (int i = 0; i < 4; ++i) {
     telemetry.RecordRequest(200, 50, now);
@@ -167,22 +296,22 @@ TEST(ServerTelemetryTest, WindowedRatesAndBurn) {
   telemetry.RecordRequest(500, 50, now);
   telemetry.RecordRequest(429, 10, now);
   telemetry.RecordRequest(206, 60, now);
-  telemetry.RecordRequest(206, 500, now);  // also over the 100ns SLO
+  telemetry.RecordRequest(206, kLatencySloNs + 1, now);
+  telemetry.RecordRequest(206, kLatencySloNs, now - 1);  // at the SLO: within
 
   WindowedStats stats = telemetry.Compute(now);
-  EXPECT_EQ(stats.requests, 8u);
-  EXPECT_DOUBLE_EQ(stats.error_rate, 1.0 / 8);
-  EXPECT_DOUBLE_EQ(stats.shed_rate, 1.0 / 8);
-  EXPECT_DOUBLE_EQ(stats.degraded_rate, 2.0 / 8);
-  EXPECT_DOUBLE_EQ(stats.over_latency_slo_rate, 1.0 / 8);
-  // availability burn = (1/8) / (1 - 0.999) = 125x the budget.
-  EXPECT_NEAR(stats.availability_burn_rate, 125.0, 1e-9);
-  // latency burn = (1/8) / (1 - 0.99) = 12.5x.
-  EXPECT_NEAR(stats.latency_burn_rate, 12.5, 1e-9);
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_DOUBLE_EQ(stats.error_rate, 1.0 / 9);
+  EXPECT_DOUBLE_EQ(stats.shed_rate, 1.0 / 9);
+  EXPECT_DOUBLE_EQ(stats.degraded_rate, 3.0 / 9);
+  EXPECT_DOUBLE_EQ(stats.over_latency_slo_rate, 1.0 / 9);
+  // availability burn = (1/9) / (1 - 0.999); latency burn = (1/9) / (1 - 0.99).
+  EXPECT_NEAR(stats.availability_burn_rate, 1000.0 / 9, 1e-9);
+  EXPECT_NEAR(stats.latency_burn_rate, 100.0 / 9, 1e-9);
 
   // After the horizon passes, the window is clean: old badness does not
   // haunt today's gauges.
-  now += options.window_ns * options.num_windows;
+  now += kWindow * kWindows;
   stats = telemetry.Compute(now);
   EXPECT_EQ(stats.requests, 0u);
   EXPECT_DOUBLE_EQ(stats.error_rate, 0.0);
@@ -257,7 +386,6 @@ TEST_F(TelemetryServerTest, RequestIdEchoedMintedAndJoinsTheLogs) {
   std::mutex mu;
   std::vector<std::string> lines;
   DaemonOptions options = BaseOptions();
-  options.access_log.flush_interval_ms = 1;
   options.access_log.sink = [&](std::string_view line) {
     std::lock_guard<std::mutex> lock(mu);
     lines.emplace_back(line);
@@ -332,7 +460,6 @@ TEST_F(TelemetryServerTest, AccessLogAndStageHistogramsAgreeWithTheBody) {
   std::mutex mu;
   std::vector<std::string> lines;
   DaemonOptions options = BaseOptions();
-  options.access_log.flush_interval_ms = 1;
   options.access_log.sink = [&](std::string_view line) {
     std::lock_guard<std::mutex> lock(mu);
     lines.emplace_back(line);
@@ -464,7 +591,6 @@ TEST_F(TelemetryServerTest, AccessLogWellFormedUnderConcurrentKeepAlive) {
   std::mutex mu;
   std::vector<std::string> lines;
   DaemonOptions options = BaseOptions();
-  options.access_log.flush_interval_ms = 1;
   options.access_log.sink = [&](std::string_view line) {
     std::lock_guard<std::mutex> lock(mu);
     lines.emplace_back(line);
@@ -565,7 +691,6 @@ TEST_F(TelemetryServerTest, StatuszSlowEndpointAndWindowedMetrics) {
 TEST_F(TelemetryServerTest, AccessLogFileIsWritten) {
   DaemonOptions options = BaseOptions();
   options.access_log.path = root_ + "/access.log";
-  options.access_log.flush_interval_ms = 1;
   LoggrepDaemon daemon(std::move(options));
   Result<uint16_t> port = daemon.Start();
   ASSERT_TRUE(port.ok()) << port.status().ToString();
